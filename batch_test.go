@@ -2,7 +2,6 @@ package knw
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"repro/internal/binenc"
@@ -133,96 +132,6 @@ func TestL0UpdateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchMatchesScalar: batched pre-routed ingestion must
-// leave every shard byte-identical to per-key ingestion of the same
-// stream (routing preserves per-shard order).
-func TestConcurrentBatchMatchesScalar(t *testing.T) {
-	keys := batchKeys(60_000)
-	opts := []Option{WithSeed(9), WithEpsilon(0.1), WithCopies(1)}
-	scalar := NewConcurrentF0(4, opts...)
-	batched := NewConcurrentF0(4, opts...)
-	for _, k := range keys {
-		scalar.Add(k)
-	}
-	feedBatches(batched.AddBatch, keys)
-	a, _ := scalar.MarshalBinary()
-	b, _ := batched.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("batched concurrent state diverged from per-key state")
-	}
-}
-
-// TestConcurrentF0SerializeRoundTrip checkpoints a sharded sketch and
-// restores it into a differently-shaped wrapper.
-func TestConcurrentF0SerializeRoundTrip(t *testing.T) {
-	c := NewConcurrentF0(4, WithSeed(10), WithEpsilon(0.1), WithCopies(3))
-	keys := batchKeys(80_000)
-	c.AddBatch(keys)
-	want := c.Estimate()
-
-	blob, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewConcurrentF0(1) // shape is replaced by the payload
-	if err := restored.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Shards() != c.Shards() {
-		t.Fatalf("Shards=%d want %d", restored.Shards(), c.Shards())
-	}
-	if got := restored.Estimate(); got != want {
-		t.Fatalf("estimate %v after round trip, want %v", got, want)
-	}
-	// The restored wrapper must remain ingestible and mergeable.
-	restored.AddBatch(keys)
-	if got := restored.Estimate(); math.Abs(got-want)/want > 0.05 {
-		t.Fatalf("re-ingesting the same stream moved the estimate %v → %v", want, got)
-	}
-	blob2, err := restored.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob2) == 0 {
-		t.Fatal("empty remarshal")
-	}
-}
-
-// TestConcurrentL0SerializeRoundTrip is the turnstile analogue, with
-// deletions surviving the round trip.
-func TestConcurrentL0SerializeRoundTrip(t *testing.T) {
-	c := NewConcurrentL0(4, WithSeed(11), WithEpsilon(0.1), WithCopies(3))
-	const live = 20_000
-	keys := make([]uint64, 0, 2*live)
-	deltas := make([]int64, 0, 2*live)
-	for i := 0; i < live+8000; i++ {
-		k := uint64(i)*0x9e3779b97f4a7c15 + 1
-		keys = append(keys, k)
-		deltas = append(deltas, 4)
-		if i >= live {
-			keys = append(keys, k)
-			deltas = append(deltas, -4)
-		}
-	}
-	c.UpdateBatch(keys, deltas)
-	want := c.Estimate()
-	if rel := math.Abs(want-live) / live; rel > 0.2 {
-		t.Fatalf("pre-marshal estimate %v (rel %.3f)", want, rel)
-	}
-
-	blob, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewConcurrentL0(1)
-	if err := restored.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.Estimate(); got != want {
-		t.Fatalf("estimate %v after round trip, want %v", got, want)
-	}
-}
-
 // marshalV1 writes the legacy version-1 (unframed) payload for f.
 func marshalV1F0(f *F0) []byte {
 	var w binenc.Writer
@@ -311,33 +220,5 @@ func TestResetPreservesMergeability(t *testing.T) {
 	afterL, _ := l.MarshalBinary()
 	if !bytes.Equal(freshL, afterL) {
 		t.Fatal("Reset L0 state differs from a fresh same-seed sketch")
-	}
-}
-
-// TestConcurrentMerge folds one sharded wrapper into another,
-// including mismatched shard counts.
-func TestConcurrentMerge(t *testing.T) {
-	opts := []Option{WithSeed(15), WithEpsilon(0.1), WithCopies(1)}
-	a := NewConcurrentF0(4, opts...)
-	b := NewConcurrentF0(8, opts...)
-	keys := batchKeys(100_000)
-	half := len(keys) / 2
-	a.AddBatch(keys[:half])
-	b.AddBatch(keys[half:])
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	single := NewF0(opts...)
-	single.AddBatch(keys)
-	want := single.Estimate()
-	if got := a.Estimate(); math.Abs(got-want)/want > 0.15 {
-		t.Fatalf("merged estimate %v, single-sketch %v", got, want)
-	}
-	if err := a.Merge(a); err == nil {
-		t.Fatal("self-merge must error")
-	}
-	other := NewConcurrentF0(4, WithSeed(16), WithEpsilon(0.1), WithCopies(1))
-	if err := a.Merge(other); err == nil {
-		t.Fatal("merge across seeds must error")
 	}
 }

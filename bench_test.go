@@ -11,7 +11,6 @@ package knw_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	knw "repro"
@@ -186,16 +185,6 @@ func BenchmarkKeyedIngest(b *testing.B) {
 			k.AddBatch(str)
 		}
 	})
-	b.Run("keyed-string-concurrent", func(b *testing.B) {
-		k := knw.NewKeyed[string](knw.NewConcurrentF0(runtime.GOMAXPROCS(0), opts...))
-		_, str := mkKeys()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				k.AddBatch(str)
-			}
-		})
-	})
 }
 
 // BenchmarkL0IngestBatch is the turnstile analogue.
@@ -212,106 +201,6 @@ func BenchmarkL0IngestBatch(b *testing.B) {
 		}
 		sk.UpdateBatch(keys[:n], nil)
 	}
-}
-
-// benchKeyspace bounds the distinct keys the concurrent ingest
-// benchmarks draw from: production streams re-see items — that is the
-// point of distinct counting — so the steady state has a stable
-// subsampling offset rather than one growing with b.N.
-const benchKeyspace = 1 << 21
-
-// BenchmarkConcurrentF0Ingest is the headline concurrency comparison:
-// per-key ingestion (one shard-lock acquisition per key — the pre-v2
-// write path) against pre-routed batched ingestion (one lock per shard
-// per batch) on the same workload, with at least 8 writer goroutines.
-func BenchmarkConcurrentF0Ingest(b *testing.B) {
-	parallelism := 1
-	for p := runtime.GOMAXPROCS(0); p < 8; p *= 2 {
-		parallelism *= 2 // ensure ≥ 8 goroutines even on small machines
-	}
-	b.Run("per-key-lock", func(b *testing.B) {
-		c := knw.NewConcurrentF0(8, knw.WithSeed(1), knw.WithCopies(1))
-		b.SetParallelism(parallelism)
-		b.RunParallel(func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				c.Add((i%benchKeyspace)*0x9e3779b97f4a7c15 + 1)
-				i++
-			}
-		})
-	})
-	b.Run("batch", func(b *testing.B) {
-		c := knw.NewConcurrentF0(8, knw.WithSeed(1), knw.WithCopies(1))
-		b.SetParallelism(parallelism)
-		b.RunParallel(func(pb *testing.PB) {
-			buf := make([]uint64, 0, benchBatch)
-			i := uint64(0)
-			for pb.Next() {
-				buf = append(buf, (i%benchKeyspace)*0x9e3779b97f4a7c15+1)
-				i++
-				if len(buf) == cap(buf) {
-					c.AddBatch(buf)
-					buf = buf[:0]
-				}
-			}
-			c.AddBatch(buf)
-		})
-	})
-}
-
-// BenchmarkConcurrentL0Ingest mirrors the F0 comparison for turnstile
-// updates.
-func BenchmarkConcurrentL0Ingest(b *testing.B) {
-	parallelism := 1
-	for p := runtime.GOMAXPROCS(0); p < 8; p *= 2 {
-		parallelism *= 2 // ensure ≥ 8 goroutines even on small machines
-	}
-	b.Run("per-key-lock", func(b *testing.B) {
-		c := knw.NewConcurrentL0(8, knw.WithSeed(1), knw.WithCopies(1))
-		b.SetParallelism(parallelism)
-		b.RunParallel(func(pb *testing.PB) {
-			i := uint64(0)
-			for pb.Next() {
-				c.Update(i*0x9e3779b97f4a7c15+1, 1)
-				i++
-			}
-		})
-	})
-	b.Run("batch", func(b *testing.B) {
-		c := knw.NewConcurrentL0(8, knw.WithSeed(1), knw.WithCopies(1))
-		b.SetParallelism(parallelism)
-		b.RunParallel(func(pb *testing.PB) {
-			buf := make([]uint64, 0, benchBatch)
-			i := uint64(0)
-			for pb.Next() {
-				buf = append(buf, i*0x9e3779b97f4a7c15+1)
-				i++
-				if len(buf) == cap(buf) {
-					c.UpdateBatch(buf, nil)
-					buf = buf[:0]
-				}
-			}
-			c.UpdateBatch(buf, nil)
-		})
-	})
-}
-
-// BenchmarkConcurrentF0Estimate measures the pooled-scratch merge read
-// path (the pre-v2 implementation rebuilt the scratch sketch — hash
-// draws included — on every call).
-func BenchmarkConcurrentF0Estimate(b *testing.B) {
-	c := knw.NewConcurrentF0(8, knw.WithSeed(1), knw.WithCopies(1))
-	keys := make([]uint64, 1<<16)
-	for i := range keys {
-		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
-	}
-	c.AddBatch(keys)
-	b.ResetTimer()
-	var v float64
-	for i := 0; i < b.N; i++ {
-		v = c.Estimate()
-	}
-	_ = v
 }
 
 // --- E6: worst-case update time (Theorem 9) -------------------------
@@ -423,9 +312,6 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 		{"F0", func() knw.Estimator {
 			return knw.NewF0(knw.WithEpsilon(0.05), knw.WithSeed(1))
 		}},
-		{"ConcurrentF0-8", func() knw.Estimator {
-			return knw.NewConcurrentF0(8, knw.WithEpsilon(0.05), knw.WithSeed(1))
-		}},
 		{"L0", func() knw.Estimator {
 			return knw.NewL0(knw.WithEpsilon(0.05), knw.WithSeed(1))
 		}},
@@ -461,7 +347,7 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 // BenchmarkSnapshotEncode isolates the encode half (what a checkpoint
 // tick pays per store entry when nothing is restored).
 func BenchmarkSnapshotEncode(b *testing.B) {
-	sk := knw.NewConcurrentF0(8, knw.WithEpsilon(0.05), knw.WithSeed(1))
+	sk := knw.NewF0(knw.WithEpsilon(0.05), knw.WithSeed(1))
 	keys := make([]uint64, 1<<16)
 	for i := range keys {
 		keys[i] = uint64(i) * 0x9e3779b97f4a7c15

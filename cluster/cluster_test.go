@@ -51,7 +51,7 @@ func startCluster(t *testing.T, n, replication int, window store.Window, storeOp
 	nodes := make([]*node, n)
 	for i := range nodes {
 		stCfg := store.Config{
-			Kind:    knw.KindConcurrentF0,
+			Kind:    knw.KindF0,
 			Options: []knw.Option{knw.WithEpsilon(testEps), knw.WithSeed(1)},
 			Window:  window,
 		}
@@ -432,7 +432,7 @@ func startGossipCluster(t *testing.T, n, replication int, interval time.Duration
 	for i := range nodes {
 		srv, err := service.New(service.Config{
 			Store: store.Config{
-				Kind:    knw.KindConcurrentF0,
+				Kind:    knw.KindF0,
 				Options: []knw.Option{knw.WithEpsilon(testEps), knw.WithSeed(1)},
 			},
 			Cluster: &cluster.Config{

@@ -23,8 +23,8 @@ import (
 // deterministic flush boundaries, so the store-call sequence each
 // replica sees is a function of the key stream alone, regardless of
 // which codec delivered it. Background epoch drains are disabled so a
-// mid-ingest drain can never hold a delta slot busy and perturb the
-// slot round-robin — byte-identity needs the deterministic regime
+// mid-ingest drain can never hold slot 0 busy and push a batch into
+// another delta slot — byte-identity needs the deterministic regime
 // (estimates are exact under any interleaving either way).
 func TestClusterCodecsReplicateIdentically(t *testing.T) {
 	const (

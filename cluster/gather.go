@@ -25,14 +25,11 @@ type Estimate struct {
 	// node's live window ring.
 	Windowed bool    `json:"windowed"`
 	Window   float64 `json:"window,omitempty"`
-	// Nodes / NodesOK count cluster members and how many contributed.
-	Nodes   int `json:"nodes"`
-	NodesOK int `json:"nodes_ok"`
-	// Partial is set when any peer could not contribute; the response
-	// then carries the X-KNW-Partial header naming them.
-	Partial     bool     `json:"partial"`
-	FailedPeers []string `json:"failed_peers,omitempty"`
-	Replication int      `json:"replication"`
+	// GatherInfo counts cluster members and how many contributed. When
+	// any peer could not contribute, Partial is set and the response
+	// carries the X-KNW-Partial header naming them.
+	GatherInfo
+	Replication int `json:"replication"`
 	// RingEpoch is the committed membership epoch the answer was
 	// assembled under; Rebalancing is set while a transition (union
 	// routing + handoff) was in flight — mirrored in the
@@ -45,24 +42,25 @@ type Estimate struct {
 // transport-level gather failures.
 var errNoData = errors.New("cluster: store unknown on every reachable node")
 
-// gatherRes is one peer's contribution to a scatter-gather: its
-// snapshot envelope (nil when the peer does not hold the store) or the
-// failure that kept it from contributing.
+// gatherRes is one member's contribution to a scatter-gather: its
+// snapshot envelope (nil when the member does not hold the store) or
+// the failure that kept it from contributing.
 type gatherRes struct {
 	member int
-	env    []byte // all-time envelope; nil on 404
-	winEnv []byte // window envelope; nil when absent or unwindowed
+	env    []byte
 	err    error
 }
 
 // MergedEstimate assembles the cluster-wide estimate for name: the
 // local sketch plus every peer's snapshot envelope, opened and merged
-// in this process. Peers that do not hold the store contribute nothing
-// and are still counted healthy; peers that cannot be reached (or ship
+// in this process — the gather GatherSketch runs, once for the
+// all-time sketches and, on windowed stores, once for the live window
+// rings. Peers that do not hold the store contribute nothing and are
+// still counted healthy; peers that cannot be reached (or ship
 // incompatible envelopes) are reported in Estimate.FailedPeers, and
-// the merged result of everyone else — at minimum the stale local view
-// — is served instead of an error. The error return is reserved for
-// "no data anywhere": every reachable node 404ed (errors.Is
+// the merged result of everyone else — at minimum the stale local
+// view — is served instead of an error. The error return is reserved
+// for "no data anywhere": every reachable node 404ed (errors.Is
 // store.ErrNotFound) or the store name is invalid.
 func (rt *Router) MergedEstimate(name string) (Estimate, error) {
 	return rt.mergedEstimate(name, nil)
@@ -78,74 +76,28 @@ func (rt *Router) mergedEstimate(name string, act *trace.Active) (Estimate, erro
 	}
 	t0 := time.Now()
 	v := rt.view()
-	windowed := rt.local.Window().Buckets > 0
 	out := Estimate{
 		Store:       name,
-		Windowed:    windowed,
-		Nodes:       len(v.members),
+		Windowed:    rt.local.Window().Buckets > 0,
 		Replication: v.replication,
 		RingEpoch:   v.epoch,
 		Rebalancing: v.rebalancing(),
 	}
-
-	results := rt.scatter(v, name, windowed, act.HeaderValue())
-
-	var total, window knw.Estimator
-	var failed []int
-	merge := func(acc *knw.Estimator, env []byte) error {
-		if env == nil {
-			return nil
-		}
-		est, err := knw.Open(env)
-		if err != nil {
-			return err
-		}
-		if *acc == nil {
-			*acc = est
-			return nil
-		}
-		return knw.MergeInto(*acc, est)
+	total, info := rt.gather(v, name, "", act)
+	var window knw.Estimator
+	if out.Windowed {
+		var winInfo GatherInfo
+		window, winInfo = rt.gather(v, name, "window", act)
+		info.Merge(winInfo)
 	}
-	for _, res := range results {
-		if res.err == nil {
-			res.err = merge(&total, res.env)
-		}
-		if res.err == nil && windowed {
-			res.err = merge(&window, res.winEnv)
-		}
-		if res.err != nil {
-			failed = append(failed, res.member)
-			rt.log.Warn("gather failed", "store", name,
-				"peer", v.members[res.member], "err", res.err,
-				"trace", act.TraceHex())
-			continue
-		}
-		out.NodesOK++
-	}
-
-	out.Partial = len(failed) > 0
-	if out.Partial {
-		rt.met.gatherPartial.Inc()
-		for _, m := range failed {
-			out.FailedPeers = append(out.FailedPeers, v.members[m])
-		}
-	}
+	out.GatherInfo = info
+	rt.notePartial(info, total != nil)
 	if total == nil {
-		if out.Partial {
-			// Nothing at all to serve — not even stale-local data.
-			return out, fmt.Errorf("cluster: no node could serve %q (unreachable: %v)", name, out.FailedPeers)
-		}
-		return out, fmt.Errorf("%w: %w %q", errNoData, store.ErrNotFound, name)
+		return out, noDataErr(name, info)
 	}
 	out.AllTime = total.Estimate()
 	if window != nil {
 		out.Window = window.Estimate()
-	}
-	if out.Partial {
-		// The stale-local fallback path: a 200 assembled without every
-		// peer. Counted separately from gatherPartial, which also covers
-		// partial gathers that ended in an error.
-		rt.met.partialServed.Inc()
 	}
 	d := time.Since(t0)
 	rt.met.gatherSeconds.Observe(d.Seconds())
@@ -154,68 +106,27 @@ func (rt *Router) mergedEstimate(name string, act *trace.Active) (Estimate, erro
 	return out, nil
 }
 
-// scatter collects every member's envelopes for name concurrently: the
-// local store is read in-process, peers over GET /v1/snapshot. The
-// member space is the view's union list, so mid-rebalance gathers read
-// joining and leaving nodes alike. hdr is the caller's rendered trace
-// header ("" when unsampled), attached to every peer fetch.
-func (rt *Router) scatter(v *ringView, name string, windowed bool, hdr string) []gatherRes {
-	results := make([]gatherRes, len(v.members))
-	var wg sync.WaitGroup
-	for m := range v.members {
-		results[m].member = m
-		if m == v.self {
-			results[m] = rt.localSnapshot(m, name, windowed)
-			continue
-		}
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			results[m] = rt.fetchSnapshot(v.members[m], m, name, windowed, hdr)
-		}(m)
+// noDataErr is the error of a gather that assembled nothing: a 404
+// (errNoData wrapping store.ErrNotFound) when every node answered and
+// none held the store, an unreachable-peers error otherwise.
+func noDataErr(name string, info GatherInfo) error {
+	if info.Partial {
+		return fmt.Errorf("cluster: no node could serve %q (unreachable: %v)", name, info.FailedPeers)
 	}
-	wg.Wait()
-	return results
+	return fmt.Errorf("%w: %w %q", errNoData, store.ErrNotFound, name)
 }
 
-// localSnapshot reads this node's own envelopes without HTTP.
-func (rt *Router) localSnapshot(m int, name string, windowed bool) gatherRes {
-	res := gatherRes{member: m}
-	env, err := rt.local.Snapshot(name, nil)
-	if errors.Is(err, store.ErrNotFound) {
-		return res
+// notePartial counts one request's gather outcome: every partial
+// gather, and separately the partial ones still served from the
+// reachable nodes (the stale-local fallback).
+func (rt *Router) notePartial(info GatherInfo, served bool) {
+	if !info.Partial {
+		return
 	}
-	if err != nil {
-		res.err = err
-		return res
+	rt.met.gatherPartial.Inc()
+	if served {
+		rt.met.partialServed.Inc()
 	}
-	res.env = env
-	if windowed {
-		res.winEnv, err = rt.local.WindowSnapshot(name, nil)
-		if err != nil {
-			res.err = err
-		}
-	}
-	return res
-}
-
-// fetchSnapshot pulls one peer's envelopes for name. A 404 means the
-// peer holds no keys for the store — a healthy empty contribution.
-func (rt *Router) fetchSnapshot(peer string, m int, name string, windowed bool, hdr string) gatherRes {
-	res := gatherRes{member: m}
-	env, found, err := rt.getSnapshot(peer, name, "", hdr)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	if !found {
-		return res
-	}
-	res.env = env
-	if windowed {
-		res.winEnv, _, res.err = rt.getSnapshot(peer, name, "window", hdr)
-	}
-	return res
 }
 
 // getSnapshot GETs one envelope from a peer; found is false on 404.

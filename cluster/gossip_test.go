@@ -47,7 +47,7 @@ func startGossipNodes(t *testing.T, n int, interval time.Duration) []*gnode {
 	nodes := make([]*gnode, n)
 	for i := range nodes {
 		st, err := store.New(store.Config{
-			Kind:    knw.KindConcurrentF0,
+			Kind:    knw.KindF0,
 			Options: []knw.Option{knw.WithEpsilon(testGossipEps), knw.WithSeed(1)},
 		})
 		if err != nil {
@@ -355,6 +355,48 @@ func TestPartialEstimateCounter(t *testing.T) {
 	assertWithin(t, "stale-local fallback", est.AllTime, 1_000, testGossipEps)
 	if got := rt.met.partialServed.Value(); got != 1 {
 		t.Fatalf("partial-estimates counter = %d, want 1", got)
+	}
+}
+
+// TestWindowedGatherCountsPartialOnce: a windowed gather scatters the
+// all-time and the window scope separately, yet a dead peer makes one
+// partial request, not two — counted once, named once, and still
+// served from the local store.
+func TestWindowedGatherCountsPartialOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close() // connections to it are refused
+	st, err := store.New(store.Config{
+		Options: []knw.Option{knw.WithEpsilon(testGossipEps), knw.WithSeed(1)},
+		Window:  store.Window{Buckets: 3, Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://127.0.0.1:1"
+	rt, err := New(Config{Self: self, Peers: []string{self, dead}, Replication: 1,
+		Timeout: 5 * time.Second}, st, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Ingest("t/w", genKeysRange("k", 0, 1_000)); err != nil {
+		t.Fatal(err)
+	}
+	est, err := rt.MergedEstimate("t/w")
+	if err != nil {
+		t.Fatalf("partial windowed gather should serve the local view: %v", err)
+	}
+	if !est.Windowed || !est.Partial || est.Nodes != 2 || est.NodesOK != 1 ||
+		len(est.FailedPeers) != 1 || est.FailedPeers[0] != dead {
+		t.Fatalf("windowed gather with a dead peer: %+v", est)
+	}
+	assertWithin(t, "all_time", est.AllTime, 1_000, testGossipEps)
+	assertWithin(t, "window", est.Window, 1_000, testGossipEps)
+	if p, s := rt.met.gatherPartial.Value(), rt.met.partialServed.Value(); p != 1 || s != 1 {
+		t.Fatalf("one partial request counted %d partial gathers, %d partial serves; want 1, 1", p, s)
 	}
 }
 

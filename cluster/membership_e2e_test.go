@@ -35,7 +35,7 @@ func startMemberNode(t *testing.T, ln net.Listener, self string, peers []string,
 	t.Helper()
 	srv, err := service.New(service.Config{
 		Store: store.Config{
-			Kind:    knw.KindConcurrentF0,
+			Kind:    knw.KindF0,
 			Options: []knw.Option{knw.WithEpsilon(testEps), knw.WithSeed(1)},
 		},
 		Cluster: &cluster.Config{

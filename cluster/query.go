@@ -12,8 +12,8 @@ import (
 )
 
 // Cluster-side query primitives: GatherSketch hands the scatter-gather
-// machinery's merged sketch back to the caller (instead of collapsing
-// it to a number, as MergedEstimate does), so the service's /v1/query
+// machinery's merged sketch back to the caller (MergedEstimate
+// collapses the same merge to a number), so the service's /v1/query
 // can run set algebra across several gathered stores; GatherSeries
 // scatters per-bucket ring snapshots and unions them epoch by epoch
 // into one cluster-wide time-series; LocalSketch is the O(1)
@@ -71,14 +71,10 @@ func (rt *Router) GatherSketch(name string, windowed bool, act *trace.Active) (k
 	if windowed {
 		scope = "window"
 	}
-	v := rt.view()
-	results := rt.scatterScope(v, name, scope, act.HeaderValue())
-	acc, info := rt.foldEnvelopes(v, name, results, act)
+	acc, info := rt.gather(rt.view(), name, scope, act)
+	rt.notePartial(info, acc != nil)
 	if acc == nil {
-		if info.Partial {
-			return nil, info, fmt.Errorf("cluster: no node could serve %q (unreachable: %v)", name, info.FailedPeers)
-		}
-		return nil, info, fmt.Errorf("%w: %w %q", errNoData, store.ErrNotFound, name)
+		return nil, info, noDataErr(name, info)
 	}
 	d := time.Since(t0)
 	rt.met.gatherSeconds.Observe(d.Seconds())
@@ -87,13 +83,13 @@ func (rt *Router) GatherSketch(name string, windowed bool, act *trace.Active) (k
 	return acc, info, nil
 }
 
-// foldEnvelopes opens and merges one scatter's envelopes, tallying
-// completeness (and the partial-serving metrics) as mergedEstimate
-// does.
-func (rt *Router) foldEnvelopes(v *ringView, name string, results []gatherRes, act *trace.Active) (knw.Estimator, GatherInfo) {
+// gather scatters one snapshot scope to every member and merges the
+// envelopes, tallying completeness. Callers count the outcome
+// (notePartial) once per request.
+func (rt *Router) gather(v *ringView, name, scope string, act *trace.Active) (knw.Estimator, GatherInfo) {
 	info := GatherInfo{Nodes: len(v.members)}
 	var acc knw.Estimator
-	for _, res := range results {
+	for _, res := range rt.scatterScope(v, name, scope, act.HeaderValue()) {
 		if res.err == nil && res.env != nil {
 			est, err := knw.Open(res.env)
 			if err != nil {
@@ -114,17 +110,15 @@ func (rt *Router) foldEnvelopes(v *ringView, name string, results []gatherRes, a
 		}
 		info.NodesOK++
 	}
-	if info.Partial {
-		rt.met.gatherPartial.Inc()
-		if acc != nil {
-			rt.met.partialServed.Inc()
-		}
-	}
 	return acc, info
 }
 
 // scatterScope collects every member's envelope for one snapshot scope
-// concurrently — scatter generalized beyond the all-time+window pair.
+// concurrently: the local store is read in-process, peers over GET
+// /v1/snapshot. The member space is the view's union list, so
+// mid-rebalance gathers read joining and leaving nodes alike. hdr is
+// the caller's rendered trace header ("" when unsampled), attached to
+// every peer fetch; a peer's 404 is a healthy empty contribution.
 func (rt *Router) scatterScope(v *ringView, name, scope, hdr string) []gatherRes {
 	results := make([]gatherRes, len(v.members))
 	var wg sync.WaitGroup
@@ -242,17 +236,9 @@ func (rt *Router) GatherSeries(name string, span time.Duration, act *trace.Activ
 		}
 		info.NodesOK++
 	}
-	if info.Partial {
-		rt.met.gatherPartial.Inc()
-	}
+	rt.notePartial(info, seen)
 	if !seen {
-		if info.Partial {
-			return store.Series{}, info, fmt.Errorf("cluster: no node could serve a series for %q (unreachable: %v)", name, info.FailedPeers)
-		}
-		return store.Series{}, info, fmt.Errorf("%w: %w %q", errNoData, store.ErrNotFound, name)
-	}
-	if info.Partial {
-		rt.met.partialServed.Inc()
+		return store.Series{}, info, noDataErr(name, info)
 	}
 
 	k := store.SpanBuckets(span, win.Interval, win.Buckets)

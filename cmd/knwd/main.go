@@ -6,7 +6,7 @@
 // interval.
 //
 //	knwd -listen :7070 -checkpoint-dir /var/lib/knwd \
-//	     -kind concurrent-f0 -epsilon 0.02 -seed 1 \
+//	     -kind f0 -epsilon 0.02 -seed 1 \
 //	     -window-buckets 6 -window-interval 10m \
 //	     -ready-file /run/knwd/ready
 //
@@ -54,11 +54,10 @@ import (
 func main() {
 	var (
 		listen       = flag.String("listen", ":7070", "HTTP listen address")
-		kindName     = flag.String("kind", "concurrent-f0", "sketch kind for every store (a wire kind: f0, l0, concurrent-f0, concurrent-l0)")
+		kindName     = flag.String("kind", "f0", "sketch kind for every store (a wire kind: f0 or l0; the retired names concurrent-f0 and concurrent-l0 select them too)")
 		eps          = flag.Float64("epsilon", 0.05, "target relative standard error")
 		delta        = flag.Float64("delta", 0.05, "failure probability (copies = O(log 1/delta))")
 		seed         = flag.Int64("seed", 0, "sketch seed; REQUIRED (non-zero) for cross-node merging — peers must share it")
-		shards       = flag.Int("shards", 0, "shard count for the concurrent kinds (0 = one per CPU)")
 		universeBits = flag.Uint("universe-bits", 32, "log2 of the key universe")
 		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint directory (empty = no persistence)")
 		ckptEvery    = flag.Duration("checkpoint-interval", 30*time.Second, "background checkpoint interval")
@@ -115,9 +114,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "knwd: no -seed given; using persisted seed %d from %s (peers need the same seed to merge)\n", s, *ckptDir)
 	default:
 		fmt.Fprintln(os.Stderr, "knwd: warning: no -seed given; snapshots from this node will not merge into other nodes")
-	}
-	if *shards > 0 {
-		opts = append(opts, knw.WithShards(*shards))
 	}
 
 	var clusterCfg *cluster.Config

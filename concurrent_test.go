@@ -1,146 +1,155 @@
-package knw
+package knw_test
 
 import (
 	"math"
 	"sync"
 	"testing"
+
+	knw "repro"
+	"repro/store"
 )
 
-func TestConcurrentF0Basic(t *testing.T) {
-	c := NewConcurrentF0(4, WithSeed(60), WithEpsilon(0.1), WithCopies(1))
-	if c.Shards() != 4 {
-		t.Fatalf("Shards=%d", c.Shards())
-	}
-	const f0 = 100_000
+// Concurrent ingestion has one mechanism: every writer fills its own
+// sketch built with the same options and seed, and Merge folds them
+// (per-counter max for F0, linear sum for L0). These tests cover that
+// model directly and through the store, whose delta slots apply it to
+// long-running writers.
+
+// mergeWriters runs one goroutine per sketch and merges them all into
+// the first once every writer is done.
+func mergeWriters[S interface{ Merge(S) error }](t *testing.T, parts []S, write func(g int, sk S)) S {
+	t.Helper()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g, sk := range parts {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := g; i < f0; i += 8 {
-				k := uint64(i)*0x9e3779b97f4a7c15 + 1
-				c.Add(k)
-				c.Add(k) // concurrent duplicates
-			}
-		}(g)
+			write(g, sk)
+		}()
 	}
 	wg.Wait()
-	got := c.Estimate()
-	if rel := math.Abs(got-f0) / f0; rel > 0.15 {
-		t.Errorf("concurrent estimate %v (rel %.3f)", got, rel)
+	for _, p := range parts[1:] {
+		if err := parts[0].Merge(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c.SpaceBits() <= 0 {
+	return parts[0]
+}
+
+func TestConcurrentF0Basic(t *testing.T) {
+	const f0, writers = 100_000, 8
+	parts := make([]*knw.F0, writers)
+	for g := range parts {
+		parts[g] = knw.NewF0(knw.WithSeed(60), knw.WithEpsilon(0.1), knw.WithCopies(1))
+	}
+	merged := mergeWriters(t, parts, func(g int, sk *knw.F0) {
+		for i := g; i < f0; i += writers {
+			k := uint64(i)*0x9e3779b97f4a7c15 + 1
+			sk.Add(k)
+			sk.Add(k)
+		}
+	})
+	got := merged.Estimate()
+	if rel := math.Abs(got-f0) / f0; rel > 0.15 {
+		t.Errorf("merged per-writer estimate %v (rel %.3f)", got, rel)
+	}
+	if merged.SpaceBits() <= 0 {
 		t.Error("SpaceBits")
 	}
 }
 
+// TestConcurrentF0MatchesSequentialUnion: the per-writer sketches,
+// merged, agree with a single same-seed sketch over the whole stream.
 func TestConcurrentF0MatchesSequentialUnion(t *testing.T) {
-	// The sharded wrapper must agree with a single same-seed sketch
-	// over the same stream (max-merge makes the union exact up to
-	// rough-estimator timing).
-	c := NewConcurrentF0(8, WithSeed(61), WithEpsilon(0.1), WithCopies(1))
-	single := NewF0(WithSeed(61), WithEpsilon(0.1), WithCopies(1))
-	for i := 0; i < 200_000; i++ {
-		k := uint64(i)*2654435761 + 1
-		c.Add(k)
-		single.Add(k)
+	opts := []knw.Option{knw.WithSeed(61), knw.WithEpsilon(0.1), knw.WithCopies(1)}
+	const n, writers = 200_000, 8
+	single := knw.NewF0(opts...)
+	for i := 0; i < n; i++ {
+		single.Add(uint64(i)*2654435761 + 1)
 	}
-	a, b := c.Estimate(), single.Estimate()
+	parts := make([]*knw.F0, writers)
+	for g := range parts {
+		parts[g] = knw.NewF0(opts...)
+	}
+	merged := mergeWriters(t, parts, func(g int, sk *knw.F0) {
+		for i := g; i < n; i += writers {
+			sk.Add(uint64(i)*2654435761 + 1)
+		}
+	})
+	a, b := merged.Estimate(), single.Estimate()
 	if math.Abs(a-b)/b > 0.2 {
-		t.Errorf("sharded %v vs single %v", a, b)
+		t.Errorf("merged %v vs single %v", a, b)
 	}
 }
 
+// TestConcurrentF0EstimateDuringWrites: estimates are safe to read
+// while writers run, and never collapse. The store provides that for
+// plain F0 sketches; run with -race to verify synchronization.
 func TestConcurrentF0EstimateDuringWrites(t *testing.T) {
-	// Estimate must be safe to call while writers are running; run with
-	// -race to verify synchronization.
-	c := NewConcurrentF0(4, WithSeed(62), WithEpsilon(0.2), WithCopies(1))
+	st, err := store.New(store.Config{Kind: knw.KindF0,
+		Options: []knw.Option{knw.WithSeed(62), knw.WithEpsilon(0.2), knw.WithCopies(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			i := uint64(g)
-			for {
+			batch := make([]uint64, 256)
+			for i := uint64(g); ; {
 				select {
 				case <-stop:
 					return
 				default:
-					c.Add(i*0x9e3779b97f4a7c15 + 1)
+				}
+				for j := range batch {
+					batch[j] = i*0x9e3779b97f4a7c15 + 1
 					i += 4
 				}
+				if err := st.IngestHashed("s", batch); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}(g)
+		}()
 	}
 	prev := 0.0
 	for r := 0; r < 10; r++ {
-		est := c.Estimate()
-		if est+1 < prev*0.5 { // monotone-ish: gross decreases indicate a race
-			t.Errorf("estimate collapsed: %v after %v", est, prev)
+		est, err := st.Estimate("s")
+		if err != nil {
+			continue // no writer has created the store yet
 		}
-		prev = est
+		if est.AllTime+1 < prev*0.5 { // monotone-ish: gross decreases indicate a race
+			t.Errorf("estimate collapsed: %v after %v", est.AllTime, prev)
+		}
+		prev = est.AllTime
 	}
 	close(stop)
 	wg.Wait()
 }
 
-func TestConcurrentF0AddString(t *testing.T) {
-	c := NewConcurrentF0(2, WithSeed(63), WithCopies(1))
-	c.AddString("x")
-	c.AddString("x")
-	c.AddString("y")
-	if got := c.Estimate(); got != 2 {
-		t.Errorf("got %v want 2", got)
-	}
-}
-
-func TestConcurrentF0ShardRounding(t *testing.T) {
-	if got := NewConcurrentF0(3, WithSeed(64), WithCopies(1), WithEpsilon(0.3)).Shards(); got != 4 {
-		t.Errorf("3 shards should round to 4, got %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("0 shards should panic")
-		}
-	}()
-	NewConcurrentF0(0)
-}
-
 func TestConcurrentL0(t *testing.T) {
-	c := NewConcurrentL0(4, WithSeed(65), WithEpsilon(0.1), WithCopies(1))
-	const live = 50_000
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < live+20_000; i += 8 {
-				k := uint64(i)*0x9e3779b97f4a7c15 + 1
-				c.Update(k, 5)
-				if i >= live {
-					c.Update(k, -5) // net zero for the extras
-				}
-			}
-		}(g)
+	const live, writers = 50_000, 8
+	parts := make([]*knw.L0, writers)
+	for g := range parts {
+		parts[g] = knw.NewL0(knw.WithSeed(65), knw.WithEpsilon(0.1), knw.WithCopies(1))
 	}
-	wg.Wait()
-	got := c.Estimate()
-	if rel := math.Abs(got-live) / live; rel > 0.2 {
-		t.Errorf("concurrent L0 %v (rel %.3f)", got, rel)
-	}
-	if c.Shards() != 4 {
-		t.Errorf("Shards=%d", c.Shards())
-	}
-}
-
-func BenchmarkConcurrentF0Add(b *testing.B) {
-	c := NewConcurrentF0(8, WithSeed(1), WithCopies(1))
-	b.RunParallel(func(pb *testing.PB) {
-		i := uint64(0)
-		for pb.Next() {
-			c.Add(i*0x9e3779b97f4a7c15 + 1)
-			i++
+	// A key's insert and delete may land in different writers' sketches:
+	// the merge sums frequency vectors, so they still cancel.
+	merged := mergeWriters(t, parts, func(g int, sk *knw.L0) {
+		for i := g; i < live+20_000; i += writers {
+			k := uint64(i)*0x9e3779b97f4a7c15 + 1
+			sk.Update(k, 5)
+		}
+		for i := live + (g+1)%writers; i < live+20_000; i += writers {
+			sk.Update(uint64(i)*0x9e3779b97f4a7c15+1, -5)
 		}
 	})
+	got := merged.Estimate()
+	if rel := math.Abs(got-live) / live; rel > 0.2 {
+		t.Errorf("merged per-writer L0 %v (rel %.3f)", got, rel)
+	}
 }

@@ -16,32 +16,6 @@ func (l *L0) MergeNegated(other *L0) error {
 	return nil
 }
 
-// MergeNegated folds −1 times other's stream into c, shard-wise (see
-// L0.MergeNegated). Both wrappers must share options and seed; shard
-// counts may differ. Safe for concurrent use with writers on either
-// wrapper, but two wrappers must not concurrently diff each other.
-func (c *ConcurrentL0) MergeNegated(other *ConcurrentL0) error {
-	if c == other {
-		return fmt.Errorf("knw: cannot diff a sketch with itself")
-	}
-	if c.cfg != other.cfg {
-		return fmt.Errorf("knw: cannot diff sketches with different configurations")
-	}
-	for i := range other.shards {
-		os := &other.shards[i]
-		cs := &c.shards[uint64(i)&c.mask]
-		os.mu.Lock()
-		cs.mu.Lock()
-		err := cs.sk.MergeNegated(os.sk)
-		cs.mu.Unlock()
-		os.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // HammingDiff estimates |{i : count_a(i) ≠ count_b(i)}| — how many
 // keys the two streams disagree on — without modifying either sketch
 // (a is cloned through its serialized form). This is the paper's

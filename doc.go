@@ -30,19 +30,25 @@
 // Every sketch implements Estimator (see sketch.go): AddBatch (and
 // UpdateBatch on the turnstile types) ingests keys in bulk with
 // per-call overhead amortized, producing state byte-identical to
-// sequential Add. For shared writers, ConcurrentF0 and ConcurrentL0
-// route batches to same-seed shards with one lock acquisition per
-// shard per batch and merge shards into a pooled scratch sketch on
-// Estimate; see examples/pipeline for the full ingest → estimate →
-// checkpoint/restore loop:
+// sequential Add. A sketch is not safe for concurrent use. Because
+// same-seed sketches merge exactly (per-counter max for F0, linear sum
+// for L0), concurrent writers need no shared state: each writer fills
+// its own sketch built with the same options and seed, and Merge folds
+// them at read time into one sketch of the union stream, with the same
+// (ε, δ) guarantee as a single sketch that saw it all:
 //
-//	c := knw.NewConcurrentF0(8, knw.WithEpsilon(0.05))
-//	go func() { c.AddBatch(keys) }() // many goroutines
-//	fmt.Printf("≈%.0f distinct\n", c.Estimate())
+//	a := knw.NewF0(knw.WithSeed(1)) // writer 1's sketch
+//	b := knw.NewF0(knw.WithSeed(1)) // writer 2's: same options and seed
+//	go a.AddBatch(keysA)
+//	go b.AddBatch(keysB)
+//	// ... once both writers are done:
+//	a.Merge(b) // a now summarizes keysA ∪ keysB
 //
-// Same-seed sketches Merge for scale-out, and MarshalBinary /
-// UnmarshalBinary checkpoint any sketch — including the sharded
-// wrappers — in a versioned wire format.
+// The store package does this for long-running services: one private
+// delta sketch per concurrent writer, merged into the store's sketch
+// by a background drain and before every read (examples/pipeline).
+// MarshalBinary / UnmarshalBinary checkpoint any sketch in a versioned
+// wire format.
 //
 // # Typed keys, kinds, and the envelope
 //
@@ -53,12 +59,13 @@
 //	users := knw.NewKeyed[string](knw.NewF0(knw.WithSeed(1)))
 //	users.AddBatch([]string{"alice", "bob", "carol"})
 //
-// Kind names every implementation — the four sketch types plus the
+// Kind names every implementation — the two sketch types plus the
 // internal/baseline comparators — and New(kind, opts...) is the
 // uniform factory. Every MarshalBinary wraps its payload in a
 // self-describing envelope (kind tag + payload), and Open(data)
-// restores the right concrete type from it; pre-envelope payloads
-// still load. See README.md for the kind table and migration notes.
+// restores the right concrete type from it; pre-envelope payloads and
+// the retired sharded payloads still load. See README.md for the kind
+// table and migration notes.
 //
 // # Set algebra across sketches
 //

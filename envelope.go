@@ -28,16 +28,6 @@ const (
 	envVersion = 1
 )
 
-// wrapEnvelope frames a type's payload with the envelope header.
-func wrapEnvelope(kind Kind, payload []byte) []byte {
-	var w binenc.Writer
-	w.Uvarint(envMagic)
-	w.Uvarint(envVersion)
-	w.Uvarint(uint64(kind))
-	w.Bytes(payload)
-	return w.Buf
-}
-
 // payloadScratch pools the intermediate payload buffers the
 // AppendBinary path needs (the envelope length-prefixes the payload,
 // so the payload must be sized before the header is written). Pooling
@@ -73,7 +63,7 @@ func unwrapEnvelope(data []byte, want Kind) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != want {
+	if foldedKind(kind) != want {
 		return nil, fmt.Errorf("knw: envelope holds a %s, not a %s", kind, want)
 	}
 	return payload, nil
@@ -111,11 +101,11 @@ func openEnvelope(r *binenc.Reader) (Kind, []byte, error) {
 //	if err != nil { ... }
 //	fmt.Println(est.Name(), est.Estimate())
 //
-// The returned estimator is the kind's concrete type (*F0, *L0,
-// *ConcurrentF0, *ConcurrentL0) behind the Estimator interface;
-// type-assert — or probe for TurnstileEstimator — for the wider
-// surfaces. Open never panics on corrupt, truncated, or adversarial
-// input; it returns an error.
+// The returned estimator is the kind's concrete type (*F0 or *L0)
+// behind the Estimator interface; type-assert — or probe for
+// TurnstileEstimator — for the wider surfaces. Payloads of the retired
+// sharded kinds fold into one *F0 or *L0 (legacy.go). Open never panics
+// on corrupt, truncated, or adversarial input; it returns an error.
 func Open(data []byte) (Estimator, error) {
 	r := binenc.Reader{Buf: data}
 	magic := r.Uvarint()
@@ -130,7 +120,7 @@ func Open(data []byte) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		info, ok := kindRegistry[kind]
+		info, ok := kindRegistry[foldedKind(kind)]
 		if !ok {
 			return nil, fmt.Errorf("knw: envelope holds unknown kind %d (newer writer?)", uint64(kind))
 		}
@@ -146,7 +136,7 @@ func Open(data []byte) (Estimator, error) {
 	// Pre-envelope blob: dispatch on the per-type magic.
 	for _, kind := range Kinds() {
 		info := kindRegistry[kind]
-		if info.empty == nil || info.legacyMagic != magic {
+		if info.empty == nil || (info.legacyMagic != magic && info.shardedMagic != magic) {
 			continue
 		}
 		sk := info.empty()

@@ -14,9 +14,11 @@ import (
 // since a base version instead of the whole sketch.
 //
 // The version-2 payload formats (serialize.go) already frame their
-// dynamic state as length-prefixed sections — one per copy for F0/L0,
-// one per shard for the concurrent kinds — behind a fixed header
-// (per-type magic, version, settings, shard count). That framing makes
+// dynamic state as length-prefixed sections — one per copy — behind a
+// fixed header (per-type magic, version, settings). The retired sharded
+// payloads (legacy.go) frame one section per shard behind a header that
+// adds the shard count, and still split, because delta files written
+// before they were retired are diffs against them. That framing makes
 // a generic splitter possible: SplitEnvelope cuts any enveloped wire
 // sketch into (header, sections) without knowing the section contents,
 // and a delta is just "replace sections i, j, k of the base". Applying
@@ -57,7 +59,7 @@ const (
 
 // Decode-side bounds: a corrupt header must not force an unbounded
 // allocation. maxDeltaSections dwarfs any real payload (copies ≤ 2^10,
-// shards ≤ 2^16); maxDeltaBodyBytes bounds DEFLATE expansion.
+// legacy shards ≤ 2^16); maxDeltaBodyBytes bounds DEFLATE expansion.
 const (
 	maxDeltaSections  = 1 << 20
 	maxDeltaBodyBytes = 256 << 20
@@ -87,15 +89,18 @@ func SplitEnvelope(env []byte) (EnvelopeSections, error) {
 	if err != nil {
 		return es, err
 	}
-	info, ok := kindRegistry[kind]
+	info, ok := kindRegistry[foldedKind(kind)]
 	if !ok || info.legacyMagic == 0 {
 		return es, fmt.Errorf("knw: kind %s has no sectioned payload", kind)
 	}
+	magic, sharded := info.legacyMagic, foldedKind(kind) != kind
+	if sharded {
+		magic = info.shardedMagic
+	}
 	pr := binenc.Reader{Buf: payload}
-	pr.Expect(info.legacyMagic, "payload magic")
+	pr.Expect(magic, "payload magic")
 	ver := pr.Uvarint()
 	cfg := readSettings(&pr)
-	sharded := info.legacyMagic == f0ShardedMagic || info.legacyMagic == l0ShardedMagic
 	var shards uint64
 	if sharded {
 		shards = pr.Uvarint()

@@ -9,7 +9,7 @@ import (
 func wireKindsUnderTest(t *testing.T) map[Kind]Estimator {
 	t.Helper()
 	out := make(map[Kind]Estimator)
-	for _, kind := range []Kind{KindF0, KindL0, KindConcurrentF0, KindConcurrentL0} {
+	for _, kind := range []Kind{KindF0, KindL0} {
 		est, err := New(kind, WithEpsilon(0.2), WithSeed(7))
 		if err != nil {
 			t.Fatalf("New(%s): %v", kind, err)

@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// wrapEnvelope frames a payload with the envelope header for kind, so
+// tests can build envelopes no production writer emits.
+func wrapEnvelope(kind Kind, payload []byte) []byte {
+	return appendEnvelope(nil, kind, func(b []byte) []byte { return append(b, payload...) })
+}
+
 // buildWireSketches returns one ingested sketch per wire kind, all
 // deterministic (fixed seeds, fixed streams).
 func buildWireSketches() map[Kind]Estimator {
@@ -19,13 +25,7 @@ func buildWireSketches() map[Kind]Estimator {
 		deltas[i] = int64(i%5 - 2)
 	}
 	l.UpdateBatch(keys, deltas)
-	cf := NewConcurrentF0(4, WithSeed(93), WithEpsilon(0.1), WithCopies(3))
-	cf.AddBatch(keys)
-	cl := NewConcurrentL0(4, WithSeed(94), WithEpsilon(0.2), WithCopies(3))
-	cl.UpdateBatch(keys, deltas)
-	return map[Kind]Estimator{
-		KindF0: f, KindL0: l, KindConcurrentF0: cf, KindConcurrentL0: cl,
-	}
+	return map[Kind]Estimator{KindF0: f, KindL0: l}
 }
 
 // TestOpenRoundTripsAllKinds is the acceptance gate: for every wire
@@ -48,14 +48,6 @@ func TestOpenRoundTripsAllKinds(t *testing.T) {
 			}
 		case KindL0:
 			if _, ok := back.(*L0); !ok {
-				t.Fatalf("%s: Open returned %T", kind, back)
-			}
-		case KindConcurrentF0:
-			if _, ok := back.(*ConcurrentF0); !ok {
-				t.Fatalf("%s: Open returned %T", kind, back)
-			}
-		case KindConcurrentL0:
-			if _, ok := back.(*ConcurrentL0); !ok {
 				t.Fatalf("%s: Open returned %T", kind, back)
 			}
 		}
@@ -85,10 +77,8 @@ func TestOpenLegacyPayloads(t *testing.T) {
 	sketches := buildWireSketches()
 
 	bare := map[Kind][]byte{
-		KindF0:           sketches[KindF0].(*F0).marshalLegacy(),
-		KindL0:           sketches[KindL0].(*L0).marshalLegacy(),
-		KindConcurrentF0: sketches[KindConcurrentF0].(*ConcurrentF0).marshalLegacy(),
-		KindConcurrentL0: sketches[KindConcurrentL0].(*ConcurrentL0).marshalLegacy(),
+		KindF0: sketches[KindF0].(*F0).marshalLegacy(),
+		KindL0: sketches[KindL0].(*L0).marshalLegacy(),
 	}
 	for kind, payload := range bare {
 		back, err := Open(payload)
@@ -142,7 +132,7 @@ func mustMarshal(t *testing.T, e Estimator) []byte {
 // flag, which restore always sets, so un-seeded sketches rejected
 // their own checkpoints).
 func TestMergeAfterRestore(t *testing.T) {
-	a := NewConcurrentF0(2, WithEpsilon(0.3), WithCopies(1)) // no WithSeed
+	a := NewL0(WithEpsilon(0.3), WithCopies(1)) // no WithSeed
 	for i := uint64(1); i <= 5000; i++ {
 		a.Add(i)
 	}
@@ -151,7 +141,7 @@ func TestMergeAfterRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(restored.(*ConcurrentF0)); err != nil {
+	if err := a.Merge(restored.(*L0)); err != nil {
 		t.Fatalf("merge with own restored checkpoint: %v", err)
 	}
 

@@ -9,9 +9,9 @@ import (
 // Counting distinct items in a stream: duplicates are free, and small
 // counts are exact (the Section 3.3 regime).
 func ExampleNewF0() {
-	sk := knw.NewF0(knw.WithEpsilon(0.05), knw.WithSeed(1))
+	sk := knw.NewKeyed[string](knw.NewF0(knw.WithEpsilon(0.05), knw.WithSeed(1)))
 	for _, user := range []string{"alice", "bob", "alice", "carol", "bob", "alice"} {
-		sk.AddString(user)
+		sk.Add(user)
 	}
 	fmt.Printf("distinct users: %.0f\n", sk.Estimate())
 	// Output: distinct users: 3

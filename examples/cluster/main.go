@@ -55,7 +55,7 @@ func main() {
 	for i := range nodes {
 		srv, err := service.New(service.Config{
 			Store: store.Config{
-				Kind:    knw.KindConcurrentF0,
+				Kind:    knw.KindF0,
 				Options: []knw.Option{knw.WithEpsilon(eps), knw.WithSeed(42)},
 			},
 			Cluster: &cluster.Config{
@@ -130,7 +130,7 @@ func main() {
 	urlD := "http://" + lnD.Addr().String()
 	srvD, err := service.New(service.Config{
 		Store: store.Config{
-			Kind:    knw.KindConcurrentF0,
+			Kind:    knw.KindF0,
 			Options: []knw.Option{knw.WithEpsilon(eps), knw.WithSeed(42)},
 		},
 		Cluster: &cluster.Config{Self: urlD, Peers: []string{urlD}, Replication: 1},

@@ -61,7 +61,7 @@ func (c *fakeClock) advance(d time.Duration) { c.mu.Lock(); c.t = c.t.Add(d); c.
 func main() {
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0).Truncate(interval)}
 	srv, err := service.New(service.Config{Store: store.Config{
-		Kind:    knw.KindConcurrentF0,
+		Kind:    knw.KindF0,
 		Options: []knw.Option{knw.WithEpsilon(eps), knw.WithSeed(7)},
 		Window:  store.Window{Buckets: buckets, Interval: interval},
 		Now:     clock.now,

@@ -1,21 +1,22 @@
 // pipeline demonstrates the library's production ingestion shape: a
-// sharded concurrent sketch behind the typed-key front door
-// (Keyed[string]), fed micro-batches by many goroutines (one
-// shard-lock acquisition per shard per batch), a reader goroutine
-// taking periodic estimates from the pooled merge path, and a
-// checkpoint/restore cycle through the self-describing envelope —
-// the full write path a streaming analytics service would run.
+// store.Store fed string micro-batches by many goroutines, a reader
+// taking periodic estimates while they write, and a checkpoint/restore
+// cycle through the self-describing envelope — the full write path a
+// streaming analytics service would run.
 //
-// The stream is split into two halves. Half one is ingested, the
-// wrapper is checkpointed with MarshalBinary, the checkpoint is
-// reopened with knw.Open (which reads the concrete type off the
-// envelope's kind tag, as after a process restart), and half two is
-// ingested into the restored wrapper. The final estimate covers the
+// The store hands every concurrent writer a private delta sketch (a
+// plain F0 with the store's seed) and merges them into the store's
+// sketch in the background and before every read, so writers never
+// share a lock and every estimate includes every completed write.
+//
+// The stream is split into two halves. Half one is ingested, the store
+// is checkpointed with Snapshot, the envelope is restored into a fresh
+// store with Restore (as after a process restart), and half two is
+// ingested into the restored store. The final estimate covers the
 // whole stream.
 package main
 
 import (
-	"encoding"
 	"fmt"
 	"strconv"
 	"sync"
@@ -23,24 +24,40 @@ import (
 	"time"
 
 	knw "repro"
+	"repro/store"
 )
 
 const (
+	name      = "users/active"
 	workers   = 8
 	batchSize = 1024
 	distinct  = 400_000
 	updates   = 1_200_000
 )
 
-// ingest streams updates [lo, hi) into the sketch in micro-batches,
-// as a partition consumer would. Keys are strings (user ids); the
-// Keyed front-end hashes the whole batch and feeds the sharded batch
-// path, so the typed layer costs one pass over the batch.
-func ingest(c *knw.Keyed[string], lo, hi int, wg *sync.WaitGroup, progress *atomic.Int64) {
+// newStore builds the store both halves run on. The seed is pinned so
+// the restored store hashes and merges exactly like the first one.
+func newStore() *store.Store {
+	st, err := store.New(store.Config{
+		Kind:    knw.KindF0,
+		Options: []knw.Option{knw.WithEpsilon(0.05), knw.WithSeed(42), knw.WithCopies(3)},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// ingest streams updates [lo, hi) into the store in micro-batches, as
+// a partition consumer would. Keys are strings (user ids); the store
+// hashes each batch with its pinned seed.
+func ingest(st *store.Store, lo, hi int, wg *sync.WaitGroup, progress *atomic.Int64) {
 	defer wg.Done()
 	batch := make([]string, 0, batchSize)
 	flush := func() {
-		c.AddBatch(batch)
+		if err := st.Ingest(name, batch); err != nil {
+			panic(err)
+		}
 		progress.Add(int64(len(batch)))
 		batch = batch[:0]
 	}
@@ -56,21 +73,18 @@ func ingest(c *knw.Keyed[string], lo, hi int, wg *sync.WaitGroup, progress *atom
 
 // runHalf ingests updates [lo, hi) with `workers` goroutines while a
 // reader polls estimates.
-func runHalf(c *knw.Keyed[string], lo, hi int) {
+func runHalf(st *store.Store, lo, hi int) {
 	var wg sync.WaitGroup
 	var progress atomic.Int64
 	per := (hi - lo + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		a := lo + w*per
-		b := a + per
-		if b > hi {
-			b = hi
-		}
+		b := min(a+per, hi)
 		if a >= b {
 			break
 		}
 		wg.Add(1)
-		go ingest(c, a, b, &wg, &progress)
+		go ingest(st, a, b, &wg, &progress)
 	}
 
 	done := make(chan struct{})
@@ -78,8 +92,9 @@ func runHalf(c *knw.Keyed[string], lo, hi int) {
 		defer close(done)
 		wg.Wait()
 	}()
-	// Periodic reads while writers run — Estimate merges the shards
-	// into a pooled scratch sketch under the shard locks.
+	// Periodic reads while writers run: Estimate first merges the
+	// writers' pending delta sketches, so it never misses a completed
+	// batch.
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -87,45 +102,45 @@ func runHalf(c *knw.Keyed[string], lo, hi int) {
 		case <-done:
 			return
 		case <-tick.C:
-			fmt.Printf("  progress %9d updates  estimate ≈ %.0f\n",
-				progress.Load(), c.Estimate())
+			if est, err := st.Estimate(name); err == nil {
+				fmt.Printf("  progress %9d updates  estimate ≈ %.0f\n", progress.Load(), est.AllTime)
+			}
 		}
 	}
 }
 
 func main() {
-	sharded := knw.NewConcurrentF0(workers,
-		knw.WithEpsilon(0.05), knw.WithSeed(42), knw.WithCopies(3))
-	c := knw.NewKeyed[string](sharded)
+	st := newStore()
+	fmt.Printf("phase 1: %d writers, batches of %d\n", workers, batchSize)
+	runHalf(st, 0, updates/2)
 
-	fmt.Printf("phase 1: %d workers, batches of %d\n", workers, batchSize)
-	runHalf(c, 0, updates/2)
-
-	blob, err := c.Unwrap().(encoding.BinaryMarshaler).MarshalBinary()
+	blob, err := st.Snapshot(name, nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("checkpoint: %d bytes (envelope kind=%s + %d framed shard sections)\n",
-		len(blob), sharded.Kind(), sharded.Shards())
+	st.Close()
+	fmt.Printf("checkpoint: %d-byte envelope\n", len(blob))
 
-	// Simulate a restart: Open reads the kind tag off the envelope and
-	// rebuilds the right concrete type — the restore side no longer
-	// needs to know what was checkpointed.
-	est, err := knw.Open(blob)
+	// Simulate a restart: a fresh store with the same configuration
+	// takes the envelope back. Restore checks that its kind, options
+	// and seed match the store's before accepting it.
+	restored := newStore()
+	defer restored.Close()
+	if err := restored.Restore(name, blob); err != nil {
+		panic(err)
+	}
+	est, err := restored.Estimate(name)
 	if err != nil {
 		panic(err)
 	}
-	reshard := est.(*knw.ConcurrentF0)
-	// Re-wrapping in Keyed re-derives the same hasher from the restored
-	// seed and universe, so phase 2 hashes exactly like phase 1.
-	restored := knw.NewKeyed[string](reshard)
-	fmt.Printf("restored: %s with %d shards, estimate ≈ %.0f\n",
-		est.Name(), reshard.Shards(), restored.Estimate())
+	fmt.Printf("restored: %s, estimate ≈ %.0f\n", est.Sketch, est.AllTime)
 
-	fmt.Println("phase 2: resuming ingestion on the restored sketch")
+	fmt.Println("phase 2: resuming ingestion on the restored store")
 	runHalf(restored, updates/2, updates)
 
-	got := restored.Estimate()
+	if est, err = restored.Estimate(name); err != nil {
+		panic(err)
+	}
 	fmt.Printf("final: estimate ≈ %.0f  (true distinct %d, rel.err %+.2f%%)\n",
-		got, distinct, 100*(got-float64(distinct))/float64(distinct))
+		est.AllTime, distinct, 100*(est.AllTime-float64(distinct))/float64(distinct))
 }

@@ -53,7 +53,7 @@ const (
 
 func main() {
 	srv, err := service.New(service.Config{Store: store.Config{
-		Kind:    knw.KindConcurrentF0,
+		Kind:    knw.KindF0,
 		Options: []knw.Option{knw.WithEpsilon(eps), knw.WithSeed(3)},
 	}})
 	if err != nil {

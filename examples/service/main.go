@@ -36,7 +36,7 @@ func main() {
 	cfg := func(dir string) service.Config {
 		return service.Config{
 			Store: store.Config{
-				Kind:    knw.KindConcurrentF0,
+				Kind:    knw.KindF0,
 				Options: []knw.Option{knw.WithEpsilon(0.02), knw.WithSeed(42)},
 			},
 			CheckpointDir: dir,
@@ -85,7 +85,7 @@ func main() {
 	// the estimate. The service answers 409 Conflict.
 	fmt.Println("== foreign peer ==")
 	foreign, _ := service.New(service.Config{Store: store.Config{
-		Kind:    knw.KindConcurrentF0,
+		Kind:    knw.KindF0,
 		Options: []knw.Option{knw.WithEpsilon(0.02), knw.WithSeed(7)},
 	}})
 	_ = foreign.Store().Ingest("acme/users", []string{"x", "y"})

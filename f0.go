@@ -13,8 +13,9 @@ import (
 // reporting time per copy — the paper's main result (Theorems 2, 3,
 // 9), amplified by the median over independent copies.
 //
-// An F0 is not safe for concurrent use; shard streams across sketches
-// and Merge them instead (counters are max-mergeable).
+// An F0 is not safe for concurrent use: give each writer its own
+// sketch built with the same options and seed, and Merge them (counters
+// are max-mergeable). The store package's delta slots do exactly that.
 type F0 struct {
 	cfg  settings
 	fast []*core.FastSketch
@@ -32,7 +33,6 @@ func NewF0(opts ...Option) *F0 {
 // newF0From builds a sketch from resolved settings (shared by NewF0
 // and UnmarshalBinary, which must reproduce the exact hash draws).
 func newF0From(cfg settings) *F0 {
-	cfg.takeShards() // construction-only hint; keep stored cfgs comparable
 	f := &F0{cfg: cfg}
 	rng := cfg.rng()
 	cc := core.Config{
@@ -87,18 +87,6 @@ func (f *F0) Reset() {
 		s.Reset()
 	}
 }
-
-// AddString records a string element via the default seeded hasher.
-//
-// Deprecated: wrap the sketch in NewKeyed[string] instead, which
-// shares this hash, adds batching, and documents the collision
-// semantics (hasher.go).
-func (f *F0) AddString(s string) { f.Add(NewHasher[string](f.cfg.seed, f.cfg.logN).Hash(s)) }
-
-// AddBytes records a byte-slice element via the default seeded hasher.
-//
-// Deprecated: wrap the sketch in NewKeyed[[]byte] instead.
-func (f *F0) AddBytes(b []byte) { f.Add(NewHasher[[]byte](f.cfg.seed, f.cfg.logN).Hash(b)) }
 
 // Estimate returns the median estimate across copies. It returns NaN
 // if every copy has failed (probability ≤ (1/32)^copies; see

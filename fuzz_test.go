@@ -3,6 +3,8 @@ package knw
 import (
 	"bytes"
 	"encoding"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -15,7 +17,8 @@ import (
 // Run with: go test -fuzz=FuzzOpen (or -fuzz=FuzzUnmarshal)
 
 // fuzzSeeds returns valid payloads in every framing, as mutation
-// starting points.
+// starting points. The retired sharded framings come from the committed
+// goldens, so the fold decoder (legacy.go) stays fuzzed.
 func fuzzSeeds() [][]byte {
 	keys := make([]uint64, 500)
 	deltas := make([]int64, len(keys))
@@ -29,24 +32,24 @@ func fuzzSeeds() [][]byte {
 	f.AddBatch(keys)
 	l := NewL0(append([]Option{WithSeed(2002)}, small...)...)
 	l.UpdateBatch(keys, deltas)
-	cf := NewConcurrentF0(2, append([]Option{WithSeed(2003)}, small...)...)
-	cf.AddBatch(keys)
-	cl := NewConcurrentL0(2, append([]Option{WithSeed(2004)}, small...)...)
-	cl.UpdateBatch(keys, deltas)
 
 	fEnv, _ := f.MarshalBinary()
 	lEnv, _ := l.MarshalBinary()
-	cfEnv, _ := cf.MarshalBinary()
-	clEnv, _ := cl.MarshalBinary()
-	return [][]byte{
-		fEnv, lEnv, cfEnv, clEnv,
+	seeds := [][]byte{
+		fEnv, lEnv,
 		f.marshalLegacy(), l.marshalLegacy(),
-		cf.marshalLegacy(), cl.marshalLegacy(),
 		marshalV1F0(f), marshalV1L0(l),
 		wrapEnvelope(Kind(99), []byte("junk")),
 		fEnv[:len(fEnv)/2],
 		nil,
 	}
+	for _, name := range []string{"concurrent_f0_v2", "concurrent_f0_envelope",
+		"concurrent_l0_v2", "concurrent_l0_envelope"} {
+		if b, err := os.ReadFile(filepath.Join("testdata", name+".golden")); err == nil {
+			seeds = append(seeds, b)
+		}
+	}
+	return seeds
 }
 
 // FuzzOpen: Open must never panic; when it accepts a payload, the
@@ -82,7 +85,7 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshal drives the four concrete decoders directly (the typed
+// FuzzUnmarshal drives the two concrete decoders directly (the typed
 // paths a service would call when it knows what it stored).
 func FuzzUnmarshal(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
@@ -98,16 +101,6 @@ func FuzzUnmarshal(f *testing.F) {
 		if err := l0.UnmarshalBinary(data); err == nil {
 			l0.Update(1, -1)
 			l0.Estimate()
-		}
-		var cf ConcurrentF0
-		if err := cf.UnmarshalBinary(data); err == nil {
-			cf.Add(1)
-			cf.Estimate()
-		}
-		var cl ConcurrentL0
-		if err := cl.UnmarshalBinary(data); err == nil {
-			cl.Update(1, -1)
-			cl.Estimate()
 		}
 	})
 }

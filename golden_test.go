@@ -2,8 +2,10 @@ package knw
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,6 +17,7 @@ import (
 //	*_v1.golden        legacy unframed format (pre-framing writers)
 //	*_v2.golden        bare framed format (pre-envelope writers)
 //	*_envelope.golden  current self-describing envelope
+//	concurrent_*       the retired sharded wrappers' payloads (legacy.go)
 //
 // The test asserts two independent things: (a) today's writers still
 // produce byte-identical v2/envelope payloads for the same sketch
@@ -23,52 +26,76 @@ import (
 // every committed payload back to the recorded estimate (compatibility
 // — old checkpoints keep working).
 //
+// Nothing writes the sharded payloads any more, so their files are
+// never regenerated. For them, (a) checks the test-only rebuild in
+// legacy_test.go instead, and (b) also pins the folded sketch to the
+// one the sharded wrapper's Estimate merged its shards into.
+//
 // Regenerate with: go test -run TestGolden -update .
 var updateGolden = flag.Bool("update", false, "rewrite golden wire-format files")
 
-// goldenSketches builds the deterministic fixtures the golden files
-// capture. Small on purpose (copies=1, coarse ε) so the committed
-// files stay a few KB.
-func goldenSketches() (f *F0, l *L0, cf *ConcurrentF0, cl *ConcurrentL0) {
+// goldenKeys is the stream every golden sketch ingests.
+func goldenKeys() ([]uint64, []int64) {
 	keys := make([]uint64, 3000)
 	deltas := make([]int64, len(keys))
 	for i := range keys {
 		keys[i] = (uint64(i)*0x9e3779b97f4a7c15>>16 + 1) & (1<<16 - 1)
 		deltas[i] = int64(i%5 - 2)
 	}
-	// WithK(32) pins the counter count at the floor and the narrow
-	// universe/update bounds shrink the L0 levels, keeping the
-	// committed files small.
-	small := []Option{WithEpsilon(0.3), WithCopies(1), WithK(32),
+	return keys, deltas
+}
+
+// goldenOpts returns the golden sketches' options. Small on purpose
+// (copies=1, coarse ε) so the committed files stay a few KB: WithK(32)
+// pins the counter count at the floor and the narrow universe/update
+// bounds shrink the L0 levels.
+func goldenOpts(seed int64) []Option {
+	return []Option{WithSeed(seed), WithEpsilon(0.3), WithCopies(1), WithK(32),
 		WithUniverseBits(16), WithUpdateBits(8)}
-	f = NewF0(append([]Option{WithSeed(1001)}, small...)...)
+}
+
+// goldenSketches builds the deterministic fixtures the golden files
+// capture.
+func goldenSketches() (f *F0, l *L0) {
+	keys, deltas := goldenKeys()
+	f = NewF0(goldenOpts(1001)...)
 	f.AddBatch(keys)
-	l = NewL0(append([]Option{WithSeed(1002)}, small...)...)
+	l = NewL0(goldenOpts(1002)...)
 	l.UpdateBatch(keys, deltas)
-	cf = NewConcurrentF0(2, append([]Option{WithSeed(1003)}, small...)...)
-	cf.AddBatch(keys)
-	cl = NewConcurrentL0(2, append([]Option{WithSeed(1004)}, small...)...)
-	cl.UpdateBatch(keys, deltas)
 	return
 }
 
+// Fold digests: SHA-256 of the envelope of the sketch the sharded
+// wrapper's Estimate merged each sharded golden's shards into, recorded
+// by the last release that still had the wrappers.
+const (
+	goldenFoldF0 = "461da1d3705d2b78868841f782f9d47d4b1ffbca28ab76dcd23d232a37b2a489"
+	goldenFoldL0 = "bda6ff8238d5e8646a7c12ca6de242e1a06424ab5fe7d0ff66f6607265432c87"
+)
+
 func TestGoldenWireFormats(t *testing.T) {
-	f, l, cf, cl := goldenSketches()
+	f, l := goldenSketches()
+	keys, deltas := goldenKeys()
+	_, cf := legacyShardedF0(2, keys, goldenOpts(1003)...)
+	_, cl := legacyShardedL0(2, keys, deltas, goldenOpts(1004)...)
 	cases := []struct {
 		file string
 		data []byte  // what today's writer produces for this framing
 		want float64 // estimate the payload must restore to
+		fold string  // sharded goldens: digest of the folded envelope
 	}{
-		{"f0_v1.golden", marshalV1F0(f), f.Estimate()},
-		{"f0_v2.golden", f.marshalLegacy(), f.Estimate()},
-		{"f0_envelope.golden", mustMarshal(t, f), f.Estimate()},
-		{"l0_v1.golden", marshalV1L0(l), l.Estimate()},
-		{"l0_v2.golden", l.marshalLegacy(), l.Estimate()},
-		{"l0_envelope.golden", mustMarshal(t, l), l.Estimate()},
-		{"concurrent_f0_v2.golden", cf.marshalLegacy(), cf.Estimate()},
-		{"concurrent_f0_envelope.golden", mustMarshal(t, cf), cf.Estimate()},
-		{"concurrent_l0_v2.golden", cl.marshalLegacy(), cl.Estimate()},
-		{"concurrent_l0_envelope.golden", mustMarshal(t, cl), cl.Estimate()},
+		{"f0_v1.golden", marshalV1F0(f), f.Estimate(), ""},
+		{"f0_v2.golden", f.marshalLegacy(), f.Estimate(), ""},
+		{"f0_envelope.golden", mustMarshal(t, f), f.Estimate(), ""},
+		{"l0_v1.golden", marshalV1L0(l), l.Estimate(), ""},
+		{"l0_v2.golden", l.marshalLegacy(), l.Estimate(), ""},
+		{"l0_envelope.golden", mustMarshal(t, l), l.Estimate(), ""},
+		// The sharded goldens' estimates are the ones the wrappers
+		// reported for them (their K=32 floor reads 0 at this size).
+		{"concurrent_f0_v2.golden", cf, 0, goldenFoldF0},
+		{"concurrent_f0_envelope.golden", wrapEnvelope(kindShardedF0, cf), 0, goldenFoldF0},
+		{"concurrent_l0_v2.golden", cl, 0, goldenFoldL0},
+		{"concurrent_l0_envelope.golden", wrapEnvelope(kindShardedL0, cl), 0, goldenFoldL0},
 	}
 
 	if *updateGolden {
@@ -79,6 +106,9 @@ func TestGoldenWireFormats(t *testing.T) {
 	for _, c := range cases {
 		path := filepath.Join("testdata", c.file)
 		if *updateGolden {
+			if c.fold != "" {
+				continue // retired format: the committed bytes are the record
+			}
 			if err := os.WriteFile(path, c.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -110,6 +140,11 @@ func TestGoldenWireFormats(t *testing.T) {
 		}
 		if _, err := Open(blob); err != nil {
 			t.Errorf("%s: reopen of re-marshal: %v", c.file, err)
+		}
+		if c.fold != "" {
+			if sum := fmt.Sprintf("%x", sha256.Sum256(blob)); sum != c.fold {
+				t.Errorf("%s: folded sketch digest %s, want %s", c.file, sum, c.fold)
+			}
 		}
 	}
 }

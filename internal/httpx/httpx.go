@@ -15,8 +15,8 @@ import (
 
 const (
 	// MaxBodyBytes bounds any request body (key batches, envelopes): a
-	// merge of a large sharded sketch fits comfortably; unbounded
-	// uploads do not.
+	// merge of a large sketch fits comfortably; unbounded uploads do
+	// not.
 	MaxBodyBytes = 64 << 20
 	// MaxKeyBytes caps one newline-delimited key; a line longer than
 	// this fails the request rather than growing buffers without bound.

@@ -13,9 +13,10 @@ import "sync"
 //	users.AddBatch([]string{"bob", "carol"})
 //	fmt.Println(users.Estimate())
 //
-// A Keyed is exactly as goroutine-safe as the estimator it wraps: a
-// Keyed around a ConcurrentF0/ConcurrentL0 is safe for concurrent use
-// (the batch scratch is pooled, not shared), one around F0/L0 is not.
+// A Keyed is exactly as goroutine-safe as the estimator it wraps (the
+// batch scratch is pooled, not shared). F0 and L0 are not, so give each
+// writer its own Keyed over its own same-seed sketch and merge the
+// sketches, as the store package's delta slots do.
 //
 // The default hasher is the documented seeded hash of hasher.go,
 // picking up the wrapped sketch's seed and universe width so that two
@@ -53,7 +54,7 @@ type seeded interface{ Seed() int64 }
 type universeSized interface{ UniverseBits() uint }
 
 // NewKeyed wraps est with a typed-key front-end. If est also
-// implements TurnstileEstimator (L0, ConcurrentL0), the returned Keyed
+// implements TurnstileEstimator (L0), the returned Keyed
 // supports Update/UpdateBatch; otherwise those methods panic.
 func NewKeyed[K Key](est Estimator, opts ...KeyedOption[K]) *Keyed[K] {
 	k := &Keyed[K]{est: est}
@@ -97,7 +98,7 @@ func (k *Keyed[K]) AddBatch(keys []K) {
 // estimator is a TurnstileEstimator (use Turnstile to probe).
 func (k *Keyed[K]) Update(key K, delta int64) {
 	if k.turn == nil {
-		panic("knw: Update on a Keyed estimator that does not support deletions (wrap an L0 or ConcurrentL0)")
+		panic("knw: Update on a Keyed estimator that does not support deletions (wrap an L0)")
 	}
 	k.turn.Update(k.hasher.Hash(key), delta)
 }
@@ -108,7 +109,7 @@ func (k *Keyed[K]) Update(key K, delta int64) {
 // wrapped estimator is a TurnstileEstimator.
 func (k *Keyed[K]) UpdateBatch(keys []K, deltas []int64) {
 	if k.turn == nil {
-		panic("knw: UpdateBatch on a Keyed estimator that does not support deletions (wrap an L0 or ConcurrentL0)")
+		panic("knw: UpdateBatch on a Keyed estimator that does not support deletions (wrap an L0)")
 	}
 	if deltas != nil && len(deltas) != len(keys) {
 		panic("knw: UpdateBatch length mismatch")
@@ -157,5 +158,5 @@ func (k *Keyed[K]) Turnstile() bool { return k.turn != nil }
 func (k *Keyed[K]) Hasher() Hasher[K] { return k.hasher }
 
 // Unwrap returns the wrapped estimator, e.g. to Merge it, marshal it,
-// or read a typed-specific surface (EstimateErr, Shards, …).
+// or read a type-specific surface (EstimateErr, Copies, …).
 func (k *Keyed[K]) Unwrap() Estimator { return k.est }

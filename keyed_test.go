@@ -26,19 +26,21 @@ func testStrings(n int) []string {
 	return out
 }
 
-// TestKeyedStringMatchesAddString: the Keyed front-end and the
-// deprecated AddString forwarder share one hash, so same-seed sketches
-// ingesting the same strings through either path end byte-identical.
+// TestKeyedStringMatchesAddString: Keyed[string] hashes exactly as the
+// removed AddString method did — the default hasher over the sketch's
+// seed and universe — so sketches it fills stay mergeable with (and
+// byte-identical to) ones written through that method.
 func TestKeyedStringMatchesAddString(t *testing.T) {
 	opts := []Option{WithSeed(71), WithEpsilon(0.1), WithCopies(3)}
-	viaForwarder := NewF0(opts...)
+	viaHasher := NewF0(opts...)
+	h := NewHasher[string](viaHasher.Seed(), viaHasher.UniverseBits())
 	viaKeyed := NewKeyed[string](NewF0(opts...))
 	for _, s := range testStrings(20_000) {
-		viaForwarder.AddString(s)
+		viaHasher.Add(h.Hash(s))
 		viaKeyed.Add(s)
 	}
-	if !bytes.Equal(sketchBytes(t, viaForwarder), sketchBytes(t, viaKeyed.Unwrap().(*F0))) {
-		t.Fatal("AddString and Keyed[string].Add diverged")
+	if !bytes.Equal(sketchBytes(t, viaHasher), sketchBytes(t, viaKeyed.Unwrap().(*F0))) {
+		t.Fatal("the default hasher and Keyed[string].Add diverged")
 	}
 }
 
@@ -166,16 +168,19 @@ func TestKeyedTurnstile(t *testing.T) {
 	f.Update("x", -1)
 }
 
-// TestKeyedConcurrent: a Keyed over a ConcurrentF0 is safe for
-// concurrent batched ingestion (the hash scratch is pooled, not
-// shared). Run under -race in CI.
+// TestKeyedConcurrent: concurrent writers each own a Keyed over their
+// own same-seed sketch (the batch scratch is pooled, not shared), and
+// the merged sketches count the union. Run under -race in CI.
 func TestKeyedConcurrent(t *testing.T) {
-	k := NewKeyed[string](NewConcurrentF0(4, WithSeed(75), WithEpsilon(0.1), WithCopies(3)))
 	const workers, perWorker = 8, 4000
+	ks := make([]*Keyed[string], workers)
+	for w := range ks {
+		ks[w] = NewKeyed[string](NewF0(WithSeed(75), WithEpsilon(0.1), WithCopies(3)))
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w, k := range ks {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			batch := make([]string, 0, 256)
 			for i := 0; i < perWorker; i++ {
@@ -186,11 +191,17 @@ func TestKeyedConcurrent(t *testing.T) {
 				}
 			}
 			k.AddBatch(batch)
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if est := k.Estimate(); est < 8000*0.6 || est > 8000*1.4 {
-		t.Fatalf("concurrent keyed estimate %v far from 8000", est)
+	merged := ks[0].Unwrap().(*F0)
+	for _, k := range ks[1:] {
+		if err := merged.Merge(k.Unwrap().(*F0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if est := merged.Estimate(); est < 8000*0.6 || est > 8000*1.4 {
+		t.Fatalf("merged keyed estimate %v far from 8000", est)
 	}
 }
 

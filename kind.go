@@ -2,7 +2,6 @@ package knw
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -10,7 +9,7 @@ import (
 	"repro/internal/bitutil"
 )
 
-// Kind names an estimator implementation: the four KNW sketch types
+// Kind names an estimator implementation: the two KNW sketch types
 // plus the Figure 1 / Section 4 comparators from internal/baseline.
 // Kinds are the registry keys for the New factory and the type tags in
 // the self-describing wire envelope (envelope.go), so harnesses, the
@@ -25,12 +24,16 @@ const (
 	// KindInvalid is the zero Kind; no estimator has it.
 	KindInvalid Kind = iota
 
-	// The KNW sketches (the paper's algorithms). These four are wire
+	// The KNW sketches (the paper's algorithms). These two are wire
 	// kinds: they serialize, and Open restores them.
-	KindF0           // insertion-only distinct elements (Theorems 2, 3, 9)
-	KindL0           // turnstile L0 / Hamming norm (Theorem 10)
-	KindConcurrentF0 // sharded goroutine-safe F0
-	KindConcurrentL0 // sharded goroutine-safe L0
+	KindF0 // insertion-only distinct elements (Theorems 2, 3, 9)
+	KindL0 // turnstile L0 / Hamming norm (Theorem 10)
+
+	// Retired tags of the sharded F0/L0 wrappers. They stay reserved so
+	// no new kind reuses them: envelopes carrying them still load, folded
+	// into KindF0/KindL0 (legacy.go), but nothing writes them.
+	kindShardedF0
+	kindShardedL0
 
 	// The prior-art comparators (internal/baseline). In-memory only:
 	// they estimate but do not serialize.
@@ -62,6 +65,9 @@ type kindInfo struct {
 	turnstile bool
 	// legacyMagic is the pre-envelope wire magic (wire kinds only).
 	legacyMagic uint64
+	// shardedMagic is the retired sharded payload magic (KNWS/KNWT)
+	// whose payloads fold into this kind (legacy.go).
+	shardedMagic uint64
 	// empty returns a zero sketch ready for unmarshalLegacy (wire
 	// kinds only).
 	empty func() wireSketch
@@ -78,35 +84,24 @@ type wireSketch interface {
 // kindRegistry drives New, Open, ParseKind, and Kinds. Adding an
 // estimator to the library means adding one row here.
 var kindRegistry = map[Kind]kindInfo{
+	// The sharded kinds' names stay as aliases, so configurations that
+	// still ask for them get the plain sketch.
 	KindF0: {
-		name: "f0", aliases: []string{"knw-f0", "knw"},
-		make:        func(_ settings, opts []Option) Estimator { return NewF0(opts...) },
-		legacyMagic: f0Magic,
-		empty:       func() wireSketch { return new(F0) },
+		name:         "f0",
+		aliases:      []string{"knw-f0", "knw", "concurrent-f0", "sharded-f0", "cf0"},
+		make:         func(_ settings, opts []Option) Estimator { return NewF0(opts...) },
+		legacyMagic:  f0Magic,
+		shardedMagic: f0ShardedMagic,
+		empty:        func() wireSketch { return new(F0) },
 	},
 	KindL0: {
-		name: "l0", aliases: []string{"knw-l0"},
-		make:        func(_ settings, opts []Option) Estimator { return NewL0(opts...) },
-		turnstile:   true,
-		legacyMagic: l0Magic,
-		empty:       func() wireSketch { return new(L0) },
-	},
-	KindConcurrentF0: {
-		name: "concurrent-f0", aliases: []string{"sharded-f0", "cf0"},
-		make: func(cfg settings, opts []Option) Estimator {
-			return NewConcurrentF0(defaultShards(cfg), opts...)
-		},
-		legacyMagic: f0ShardedMagic,
-		empty:       func() wireSketch { return new(ConcurrentF0) },
-	},
-	KindConcurrentL0: {
-		name: "concurrent-l0", aliases: []string{"sharded-l0", "cl0"},
-		make: func(cfg settings, opts []Option) Estimator {
-			return NewConcurrentL0(defaultShards(cfg), opts...)
-		},
-		turnstile:   true,
-		legacyMagic: l0ShardedMagic,
-		empty:       func() wireSketch { return new(ConcurrentL0) },
+		name:         "l0",
+		aliases:      []string{"knw-l0", "concurrent-l0", "sharded-l0", "cl0"},
+		make:         func(_ settings, opts []Option) Estimator { return NewL0(opts...) },
+		turnstile:    true,
+		legacyMagic:  l0Magic,
+		shardedMagic: l0ShardedMagic,
+		empty:        func() wireSketch { return new(L0) },
 	},
 
 	KindExact: {
@@ -208,15 +203,6 @@ func sizeOverride(cfg settings, def int) int {
 	return def
 }
 
-// defaultShards resolves the shard count for the concurrent kinds:
-// WithShards if given, else one shard per CPU.
-func defaultShards(cfg settings) int {
-	if cfg.shards != 0 {
-		return cfg.shards
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // String returns the canonical kind name (the one ParseKind accepts
 // and the kind tables in cmd/* print).
 func (k Kind) String() string {
@@ -270,14 +256,13 @@ func kindNames() string {
 }
 
 // New builds an estimator of the given kind. All kinds accept the
-// standard options (ε, δ, seed, universe bits, …); the concurrent
-// kinds additionally honour WithShards, and WithK sets the direct size
-// parameter of whichever structure the kind names. Unknown kinds
-// return an error; invalid option values panic, as they do on the
-// concrete constructors.
+// standard options (ε, δ, seed, universe bits, …), and WithK sets the
+// direct size parameter of whichever structure the kind names. Unknown
+// kinds return an error; invalid option values panic, as they do on
+// the concrete constructors.
 //
-//	est, err := knw.New(knw.KindConcurrentF0,
-//		knw.WithEpsilon(0.02), knw.WithShards(16), knw.WithSeed(7))
+//	est, err := knw.New(knw.KindF0,
+//		knw.WithEpsilon(0.02), knw.WithSeed(7))
 //
 // The concrete type behind the interface is the kind's own (type-assert
 // to *F0 etc. for type-specific surfaces like Merge); the baseline

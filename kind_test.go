@@ -59,8 +59,10 @@ func TestParseKindRoundTrip(t *testing.T) {
 		}
 	}
 	for alias, want := range map[string]Kind{
-		"HLL": KindHyperLogLog, "cf0": KindConcurrentF0, "knw": KindF0,
-		" Sharded-L0 ": KindConcurrentL0, "bottom-k": KindKMV,
+		"HLL": KindHyperLogLog, "knw": KindF0, "bottom-k": KindKMV,
+		// The retired sharded kinds' names resolve to the plain kinds.
+		"concurrent-f0": KindF0, "sharded-f0": KindF0, "cf0": KindF0,
+		"concurrent-l0": KindL0, " Sharded-L0 ": KindL0, "cl0": KindL0,
 	} {
 		got, err := ParseKind(alias)
 		if err != nil || got != want {
@@ -78,7 +80,8 @@ func TestParseKindRoundTrip(t *testing.T) {
 }
 
 // TestKindAccessorsAndWireFlags: the concrete types report their
-// registry tags; exactly the four KNW sketches are wire kinds.
+// registry tags; exactly the two KNW sketches are wire kinds, and the
+// retired sharded tags are neither listed nor reused.
 func TestKindAccessorsAndWireFlags(t *testing.T) {
 	if k := NewF0(WithSeed(1), WithCopies(1)).Kind(); k != KindF0 {
 		t.Errorf("F0.Kind() = %v", k)
@@ -86,63 +89,16 @@ func TestKindAccessorsAndWireFlags(t *testing.T) {
 	if k := NewL0(WithSeed(1), WithCopies(1)).Kind(); k != KindL0 {
 		t.Errorf("L0.Kind() = %v", k)
 	}
-	if k := NewConcurrentF0(2, WithSeed(1), WithCopies(1)).Kind(); k != KindConcurrentF0 {
-		t.Errorf("ConcurrentF0.Kind() = %v", k)
-	}
-	if k := NewConcurrentL0(2, WithSeed(1), WithCopies(1)).Kind(); k != KindConcurrentL0 {
-		t.Errorf("ConcurrentL0.Kind() = %v", k)
+	if kindShardedF0 != 3 || kindShardedL0 != 4 || KindExact != 5 {
+		t.Errorf("kind numbering moved: sharded tags %d/%d, KindExact %d", kindShardedF0, kindShardedL0, KindExact)
 	}
 	for _, kind := range Kinds() {
-		wantWire := kind == KindF0 || kind == KindL0 ||
-			kind == KindConcurrentF0 || kind == KindConcurrentL0
+		if kind == kindShardedF0 || kind == kindShardedL0 {
+			t.Errorf("Kinds() lists the retired tag %d", kind)
+		}
+		wantWire := kind == KindF0 || kind == KindL0
 		if kind.Wire() != wantWire {
 			t.Errorf("kind %s: Wire() = %v, want %v", kind, kind.Wire(), wantWire)
 		}
-	}
-}
-
-// TestWithShards: the factory honours the shard-count option, the
-// explicit constructor argument wins over it, and the hint never leaks
-// into the stored configuration (mergeability across construction
-// paths).
-func TestWithShards(t *testing.T) {
-	est, err := New(KindConcurrentF0, WithShards(4), WithSeed(83), WithCopies(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := est.(*ConcurrentF0)
-	if c.Shards() != 4 {
-		t.Fatalf("WithShards(4) gave %d shards", c.Shards())
-	}
-
-	// Default: some power of two ≥ 1, without WithShards.
-	est2, err := New(KindConcurrentL0, WithSeed(83), WithCopies(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := est2.(*ConcurrentL0).Shards(); n < 1 || n&(n-1) != 0 {
-		t.Fatalf("default shard count %d not a power of two", n)
-	}
-
-	// Explicit argument beats the option.
-	if n := NewConcurrentF0(2, WithShards(8), WithSeed(83), WithCopies(1)).Shards(); n != 2 {
-		t.Fatalf("explicit shard argument lost to WithShards: %d", n)
-	}
-
-	// WithShards on a non-sharded kind is inert: the sketch merges with
-	// one built without it.
-	plain := NewF0(WithSeed(84), WithCopies(1))
-	est3, err := New(KindF0, WithShards(8), WithSeed(84), WithCopies(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Merge(est3.(*F0)); err != nil {
-		t.Fatalf("WithShards leaked into F0 config: %v", err)
-	}
-	// And the factory-built concurrent sketch merges with a
-	// constructor-built one.
-	d := NewConcurrentF0(4, WithSeed(83), WithCopies(1))
-	if err := c.Merge(d); err != nil {
-		t.Fatalf("factory and constructor configs diverge: %v", err)
 	}
 }

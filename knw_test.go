@@ -21,9 +21,9 @@ func TestF0EndToEnd(t *testing.T) {
 }
 
 func TestF0SmallCountsExact(t *testing.T) {
-	sk := NewF0(WithSeed(2))
+	sk := NewKeyed[string](NewF0(WithSeed(2)))
 	for i := 0; i < 42; i++ {
-		sk.AddString(fmt.Sprintf("user-%d", i))
+		sk.Add(fmt.Sprintf("user-%d", i))
 	}
 	if got := sk.Estimate(); got != 42 {
 		t.Errorf("small count not exact: %v", got)
@@ -31,12 +31,12 @@ func TestF0SmallCountsExact(t *testing.T) {
 }
 
 func TestF0StringsAndBytes(t *testing.T) {
-	a := NewF0(WithSeed(3))
-	b := NewF0(WithSeed(3))
-	a.AddString("hello")
-	b.AddBytes([]byte("hello"))
+	a := NewKeyed[string](NewF0(WithSeed(3)))
+	b := NewKeyed[[]byte](NewF0(WithSeed(3)))
+	a.Add("hello")
+	b.Add([]byte("hello"))
 	if a.Estimate() != b.Estimate() {
-		t.Error("AddString and AddBytes disagree")
+		t.Error("Keyed[string] and Keyed[[]byte] disagree")
 	}
 }
 

@@ -34,7 +34,6 @@ func NewL0(opts ...Option) *L0 {
 // newL0From builds a sketch from resolved settings (shared by NewL0
 // and UnmarshalBinary, which must reproduce the exact hash draws).
 func newL0From(cfg settings) *L0 {
-	cfg.takeShards() // construction-only hint; keep stored cfgs comparable
 	l := &L0{cfg: cfg}
 	rng := cfg.rng()
 	lc := l0core.Config{
@@ -74,18 +73,6 @@ func (l *L0) UpdateBatch(keys []uint64, deltas []int64) {
 
 // AddBatch records the keys with delta +1 each.
 func (l *L0) AddBatch(keys []uint64) { l.UpdateBatch(keys, nil) }
-
-// AddString records a string element via the default seeded hasher.
-//
-// Deprecated: wrap the sketch in NewKeyed[string] instead, which
-// shares this hash, adds batching and typed turnstile updates, and
-// documents the collision semantics (hasher.go).
-func (l *L0) AddString(s string) { l.Add(NewHasher[string](l.cfg.seed, l.cfg.logN).Hash(s)) }
-
-// AddBytes records a byte-slice element via the default seeded hasher.
-//
-// Deprecated: wrap the sketch in NewKeyed[[]byte] instead.
-func (l *L0) AddBytes(b []byte) { l.Add(NewHasher[[]byte](l.cfg.seed, l.cfg.logN).Hash(b)) }
 
 // Reset returns the sketch to its freshly constructed state while
 // keeping its configuration, seed, and hash draws (see F0.Reset).

@@ -41,22 +41,6 @@ func Compatible(dst, src Estimator) error {
 		if d.cfg != s.cfg {
 			return errCfgMismatch(dst)
 		}
-	case *ConcurrentF0:
-		s, ok := src.(*ConcurrentF0)
-		if !ok {
-			return errKindMismatch(dst, src)
-		}
-		if d.cfg != s.cfg {
-			return errCfgMismatch(dst)
-		}
-	case *ConcurrentL0:
-		s, ok := src.(*ConcurrentL0)
-		if !ok {
-			return errKindMismatch(dst, src)
-		}
-		if d.cfg != s.cfg {
-			return errCfgMismatch(dst)
-		}
 	default:
 		return errIncompatible("knw: %s does not support merging", dst.Name())
 	}
@@ -64,7 +48,7 @@ func Compatible(dst, src Estimator) error {
 }
 
 // MergeInto folds src into dst through the Estimator interface,
-// dispatching to the concrete Merge of the four wire types. It is the
+// dispatching to the concrete Merge of the two wire types. It is the
 // interface-level counterpart of the typed Merge methods, for callers
 // (stores, services) that hold sketches behind Estimator — e.g. after
 // knw.Open on a peer's envelope. Mismatched kinds or configurations
@@ -79,10 +63,6 @@ func MergeInto(dst, src Estimator) error {
 		return d.Merge(src.(*F0))
 	case *L0:
 		return d.Merge(src.(*L0))
-	case *ConcurrentF0:
-		return d.Merge(src.(*ConcurrentF0))
-	case *ConcurrentL0:
-		return d.Merge(src.(*ConcurrentL0))
 	}
 	return errIncompatible("knw: %s does not support merging", dst.Name())
 }

@@ -8,11 +8,6 @@ import (
 )
 
 // settings is the resolved option set shared by F0 and L0.
-//
-// The shards field is construction-only routing state for the New
-// factory: every constructor clears it (takeShards) before storing the
-// settings, so it never participates in the == comparisons that gate
-// Merge and never reaches the wire.
 type settings struct {
 	eps       float64
 	copies    int // 0: derive from delta
@@ -25,7 +20,6 @@ type settings struct {
 	reference bool
 	lnTable   bool
 	strict    bool
-	shards    int
 }
 
 func defaultSettings() settings {
@@ -55,13 +49,6 @@ func (s *settings) resolve(opts []Option) {
 }
 
 func (s *settings) rng() *rand.Rand { return rand.New(rand.NewSource(s.seed)) }
-
-// takeShards consumes the shard-count hint (see the settings doc).
-func (s *settings) takeShards() int {
-	n := s.shards
-	s.shards = 0
-	return n
-}
 
 func (s *settings) k() int {
 	if s.kOverride != 0 {
@@ -141,23 +128,6 @@ func WithUpdateBits(b uint) Option {
 // ≥ 32), bypassing the calibrated ε→K mapping. For experiments.
 func WithK(k int) Option {
 	return func(s *settings) { s.kOverride = k }
-}
-
-// WithShards sets the shard count for the concurrent kinds built
-// through the New factory (rounded up to a power of two; default: one
-// shard per CPU). The non-concurrent kinds ignore it, and
-// NewConcurrentF0/NewConcurrentL0's explicit shard argument takes
-// precedence over it.
-func WithShards(n int) Option {
-	return func(s *settings) {
-		if n < 1 {
-			panic("knw: need at least one shard")
-		}
-		if n > maxShards {
-			panic("knw: shard count exceeds the supported maximum")
-		}
-		s.shards = n
-	}
 }
 
 // WithReference selects the reference implementations (Figure 3 with

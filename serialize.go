@@ -19,25 +19,18 @@ import (
 //
 // Version 2 (current) wraps each copy's state in a length-prefixed
 // frame, which lets readers validate section boundaries and lets the
-// sharded (concurrent) formats reuse the same per-copy encoding: a
-// sharded payload is the shared settings plus one framed section per
-// shard. Version 1 concatenated the copy states unframed; the readers
-// still accept it.
+// delta envelope (envelope_delta.go) ship only the copies that changed.
+// Version 1 concatenated the copy states unframed; the readers still
+// accept it, as they accept the retired sharded payloads (legacy.go).
 //
 // A sketch can therefore only be unmarshaled by a binary using the
 // same construction logic (this library), which is the usual contract
 // for sketch stores (statistics catalogs, checkpoint files).
 const (
-	f0Magic        = 0x4b4e5746 // "KNWF"
-	l0Magic        = 0x4b4e574c // "KNWL"
-	f0ShardedMagic = 0x4b4e5753 // "KNWS"
-	l0ShardedMagic = 0x4b4e5754 // "KNWT"
-	version        = 2
+	f0Magic = 0x4b4e5746 // "KNWF"
+	l0Magic = 0x4b4e574c // "KNWL"
+	version = 2
 )
-
-// maxShards bounds the shard count a sharded header may claim, so a
-// corrupt payload cannot force an unbounded allocation.
-const maxShards = 1 << 16
 
 func appendSettings(w *binenc.Writer, s settings) {
 	w.Uvarint(math.Float64bits(s.eps))
@@ -132,8 +125,8 @@ func restoreFrame(r *binenc.Reader, fn func(*binenc.Reader) error) error {
 }
 
 // appendCopyFrames writes each copy's state as a length-prefixed frame
-// (the version-2 section layout, shared with the sharded format). One
-// scratch buffer is reused across copies.
+// (the version-2 section layout). One scratch buffer is reused across
+// copies.
 func (f *F0) appendCopyFrames(w *binenc.Writer) {
 	var cw binenc.Writer
 	for _, s := range f.fast {
@@ -210,7 +203,8 @@ func (f *F0) appendLegacy(buf []byte) []byte {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing f's
 // configuration and state entirely. Enveloped, bare version-2, and
-// legacy version-1 payloads are all accepted.
+// legacy version-1 payloads are all accepted, and so are the retired
+// sharded F0 payloads, folded into one sketch (legacy.go).
 func (f *F0) UnmarshalBinary(data []byte) error {
 	payload, err := unwrapEnvelope(data, KindF0)
 	if err != nil {
@@ -220,6 +214,14 @@ func (f *F0) UnmarshalBinary(data []byte) error {
 }
 
 func (f *F0) unmarshalLegacy(data []byte) error {
+	if hasMagic(data, f0ShardedMagic) {
+		folded, err := foldShards(data, f0ShardedMagic, "F0", newF0From)
+		if err != nil {
+			return err
+		}
+		*f = *folded
+		return nil
+	}
 	r := binenc.Reader{Buf: data}
 	r.Expect(f0Magic, "F0 magic")
 	ver, err := readVersion(&r, "F0")
@@ -301,8 +303,8 @@ func (l *L0) appendLegacy(buf []byte) []byte {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for L0.
-// Enveloped, bare version-2, and legacy version-1 payloads are all
-// accepted.
+// Enveloped, bare version-2, legacy version-1, and retired sharded L0
+// payloads are all accepted.
 func (l *L0) UnmarshalBinary(data []byte) error {
 	payload, err := unwrapEnvelope(data, KindL0)
 	if err != nil {
@@ -312,6 +314,14 @@ func (l *L0) UnmarshalBinary(data []byte) error {
 }
 
 func (l *L0) unmarshalLegacy(data []byte) error {
+	if hasMagic(data, l0ShardedMagic) {
+		folded, err := foldShards(data, l0ShardedMagic, "L0", newL0From)
+		if err != nil {
+			return err
+		}
+		*l = *folded
+		return nil
+	}
 	r := binenc.Reader{Buf: data}
 	r.Expect(l0Magic, "L0 magic")
 	ver, err := readVersion(&r, "L0")
@@ -338,155 +348,5 @@ func (l *L0) unmarshalLegacy(data []byte) error {
 		return fmt.Errorf("knw: %d trailing bytes in L0 payload", len(r.Buf))
 	}
 	*l = *fresh
-	return nil
-}
-
-// MarshalBinary serializes the sharded wrapper: shared settings, the
-// shard count, then one framed section per shard holding that shard's
-// framed copy states. Each shard is encoded under its own lock, so
-// marshaling is safe while writers run, though the snapshot is then
-// per-shard consistent rather than globally atomic (checkpoint the
-// wrapper from a quiesced moment if exact cut semantics matter).
-func (c *ConcurrentF0) MarshalBinary() ([]byte, error) {
-	return c.AppendBinary(nil)
-}
-
-// AppendBinary implements encoding.BinaryAppender (see F0.AppendBinary).
-func (c *ConcurrentF0) AppendBinary(b []byte) ([]byte, error) {
-	return appendEnvelope(b, KindConcurrentF0, c.appendLegacy), nil
-}
-
-func (c *ConcurrentF0) marshalLegacy() []byte { return c.appendLegacy(nil) }
-
-func (c *ConcurrentF0) appendLegacy(buf []byte) []byte {
-	w := binenc.Writer{Buf: buf}
-	w.Uvarint(f0ShardedMagic)
-	w.Uvarint(version)
-	appendSettings(&w, c.cfg)
-	w.Uvarint(uint64(len(c.shards)))
-	var sw binenc.Writer
-	for i := range c.shards {
-		s := &c.shards[i]
-		sw.Buf = sw.Buf[:0]
-		s.mu.Lock()
-		s.sk.appendCopyFrames(&sw)
-		s.mu.Unlock()
-		w.Bytes(sw.Buf)
-	}
-	return w.Buf
-}
-
-// UnmarshalBinary replaces c's configuration and state entirely. It is
-// not safe to call concurrently with writers or readers on c.
-// Enveloped and bare payloads are both accepted.
-func (c *ConcurrentF0) UnmarshalBinary(data []byte) error {
-	payload, err := unwrapEnvelope(data, KindConcurrentF0)
-	if err != nil {
-		return err
-	}
-	return c.unmarshalLegacy(payload)
-}
-
-func (c *ConcurrentF0) unmarshalLegacy(data []byte) error {
-	r := binenc.Reader{Buf: data}
-	r.Expect(f0ShardedMagic, "sharded F0 magic")
-	if _, err := readVersion(&r, "sharded F0"); err != nil {
-		return err
-	}
-	cfg := readSettings(&r)
-	shards := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !cfg.valid() || shards < 1 || shards > maxShards || shards&(shards-1) != 0 {
-		return fmt.Errorf("knw: corrupt sharded F0 header")
-	}
-	fresh := make([]f0Shard, shards)
-	for i := range fresh {
-		fresh[i].sk = newF0From(cfg)
-		if err := restoreFrame(&r, fresh[i].sk.restoreCopyFrames); err != nil {
-			return fmt.Errorf("knw: restoring F0 shard %d: %w", i, err)
-		}
-	}
-	if len(r.Buf) != 0 {
-		return fmt.Errorf("knw: %d trailing bytes in sharded F0 payload", len(r.Buf))
-	}
-	c.cfg = cfg
-	c.mask = shards - 1
-	c.shards = fresh
-	c.initPools()
-	return nil
-}
-
-// MarshalBinary serializes the sharded L0 wrapper (see
-// ConcurrentF0.MarshalBinary for the snapshot semantics).
-func (c *ConcurrentL0) MarshalBinary() ([]byte, error) {
-	return c.AppendBinary(nil)
-}
-
-// AppendBinary implements encoding.BinaryAppender (see F0.AppendBinary).
-func (c *ConcurrentL0) AppendBinary(b []byte) ([]byte, error) {
-	return appendEnvelope(b, KindConcurrentL0, c.appendLegacy), nil
-}
-
-func (c *ConcurrentL0) marshalLegacy() []byte { return c.appendLegacy(nil) }
-
-func (c *ConcurrentL0) appendLegacy(buf []byte) []byte {
-	w := binenc.Writer{Buf: buf}
-	w.Uvarint(l0ShardedMagic)
-	w.Uvarint(version)
-	appendSettings(&w, c.cfg)
-	w.Uvarint(uint64(len(c.shards)))
-	var sw binenc.Writer
-	for i := range c.shards {
-		s := &c.shards[i]
-		sw.Buf = sw.Buf[:0]
-		s.mu.Lock()
-		s.sk.appendCopyFrames(&sw)
-		s.mu.Unlock()
-		w.Bytes(sw.Buf)
-	}
-	return w.Buf
-}
-
-// UnmarshalBinary replaces c's configuration and state entirely. It is
-// not safe to call concurrently with writers or readers on c.
-// Enveloped and bare payloads are both accepted.
-func (c *ConcurrentL0) UnmarshalBinary(data []byte) error {
-	payload, err := unwrapEnvelope(data, KindConcurrentL0)
-	if err != nil {
-		return err
-	}
-	return c.unmarshalLegacy(payload)
-}
-
-func (c *ConcurrentL0) unmarshalLegacy(data []byte) error {
-	r := binenc.Reader{Buf: data}
-	r.Expect(l0ShardedMagic, "sharded L0 magic")
-	if _, err := readVersion(&r, "sharded L0"); err != nil {
-		return err
-	}
-	cfg := readSettings(&r)
-	shards := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !cfg.valid() || shards < 1 || shards > maxShards || shards&(shards-1) != 0 {
-		return fmt.Errorf("knw: corrupt sharded L0 header")
-	}
-	fresh := make([]l0Shard, shards)
-	for i := range fresh {
-		fresh[i].sk = newL0From(cfg)
-		if err := restoreFrame(&r, fresh[i].sk.restoreCopyFrames); err != nil {
-			return fmt.Errorf("knw: restoring L0 shard %d: %w", i, err)
-		}
-	}
-	if len(r.Buf) != 0 {
-		return fmt.Errorf("knw: %d trailing bytes in sharded L0 payload", len(r.Buf))
-	}
-	c.cfg = cfg
-	c.mask = shards - 1
-	c.shards = fresh
-	c.initPools()
 	return nil
 }

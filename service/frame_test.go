@@ -79,9 +79,9 @@ func TestIngestFrameEndToEnd(t *testing.T) {
 // The stream is sent as 500-key requests (below batchMin) so all three
 // codecs perform the identical sequence of store ingest calls, and the
 // background epoch loop is disabled so a mid-ingest drain can never
-// hold a delta slot busy and shift the slot round-robin: sketch state
-// is exact under any interleaving, but its byte encoding depends on
-// how keys were split across delta slots, so byte-level comparison
+// hold slot 0 busy and push a batch into another delta slot: sketch
+// state is exact under any interleaving, but its byte encoding depends
+// on how keys were split across delta slots, so byte-level comparison
 // requires the fully deterministic regime.
 func TestIngestCodecsSnapshotIdentical(t *testing.T) {
 	const (

@@ -372,7 +372,7 @@ func TestMetricsLifecycleE2E(t *testing.T) {
 	}
 	cfg := Config{
 		Store: store.Config{
-			Kind:    knw.KindConcurrentF0,
+			Kind:    knw.KindF0,
 			Options: []knw.Option{knw.WithEpsilon(0.05), knw.WithSeed(7)},
 			Window:  store.Window{Buckets: 4, Interval: 50 * time.Millisecond},
 		},

@@ -125,32 +125,18 @@ func Difference(a, b Estimator) (float64, error) {
 // turnstile (L0-kind) sketches without modifying either: the receiver
 // side is cloned, −1× the other stream is folded in (MergeNegated),
 // and the L0 of the difference vector is reported. Only the L0 wire
-// kinds support it — F0's max-merge cannot subtract — so other kinds
+// kind supports it — F0's max-merge cannot subtract — so other kinds
 // return an error wrapping ErrIncompatible. For insertion-only streams
 // this equals the symmetric difference |A Δ B|.
 func Hamming(a, b Estimator) (float64, error) {
-	switch x := a.(type) {
-	case *L0:
+	if x, ok := a.(*L0); ok {
 		y, ok := b.(*L0)
 		if !ok {
 			return 0, errKindMismatch(a, b)
 		}
 		return HammingDiff(x, y)
-	case *ConcurrentL0:
-		y, ok := b.(*ConcurrentL0)
-		if !ok {
-			return 0, errKindMismatch(a, b)
-		}
-		c, err := Clone(x)
-		if err != nil {
-			return 0, err
-		}
-		if err := c.(*ConcurrentL0).MergeNegated(y); err != nil {
-			return 0, err
-		}
-		return estimateOf(c)
 	}
-	return 0, errIncompatible("knw: %s does not support Hamming distance (turnstile L0 kinds only)", kindOf(a))
+	return 0, errIncompatible("knw: %s does not support Hamming distance (turnstile L0 only)", kindOf(a))
 }
 
 // SetStats is the full inclusion–exclusion picture for k sketches, as
@@ -170,8 +156,8 @@ type SetStats struct {
 	DiffBA        float64
 	SymmetricDiff float64
 	// Hamming is the turnstile L0 distance |{i : count_a(i) ≠
-	// count_b(i)}|, filled only when HammingOK: two sketches of an L0
-	// wire kind. For insertion-only streams it coincides with
+	// count_b(i)}|, filled only when HammingOK: two L0 sketches. For
+	// insertion-only streams it coincides with
 	// SymmetricDiff up to sketch error.
 	Hamming   float64
 	HammingOK bool
@@ -313,7 +299,7 @@ func estimateOf(e Estimator) (float64, error) {
 	return v, nil
 }
 
-// epsilonOf reads the configured ε when the kind exposes it (all four
+// epsilonOf reads the configured ε when the kind exposes it (both
 // wire kinds do); 0 means unknown and disables the error bound.
 func epsilonOf(e Estimator) float64 {
 	if ee, ok := e.(interface{ Epsilon() float64 }); ok {

@@ -109,21 +109,6 @@ func TestSetStatsHammingL0(t *testing.T) {
 	}
 }
 
-func TestHammingConcurrentL0(t *testing.T) {
-	a := knw.NewConcurrentL0(4, knw.WithSeed(17))
-	b := knw.NewConcurrentL0(4, knw.WithSeed(17))
-	fillRange(t, 1, 300, a, b)
-	fillRange(t, 301, 320, b) // 20 extra keys in b
-	h, err := knw.Hamming(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNear(t, "hamming", h, 20, 3*0.05*320)
-	// Neither argument changed.
-	wantNear(t, "a after", a.Estimate(), 300, 3*0.05*300)
-	wantNear(t, "b after", b.Estimate(), 320, 3*0.05*320)
-}
-
 func TestIntersectionThreeWay(t *testing.T) {
 	mk := func() *knw.F0 { return knw.NewF0(knw.WithSeed(23), knw.WithEpsilon(0.05)) }
 	a, b, c := mk(), mk(), mk()
@@ -203,16 +188,4 @@ func TestDifference(t *testing.T) {
 		t.Errorf("|A\\A| = %v < 0", self)
 	}
 	wantNear(t, "self difference", self, 0, 2*0.05*600)
-}
-
-func TestUnionSketchConcurrentKinds(t *testing.T) {
-	a := knw.NewConcurrentF0(4, knw.WithSeed(29))
-	b := knw.NewConcurrentF0(2, knw.WithSeed(29))
-	fillRange(t, 1, 400, a)
-	fillRange(t, 201, 600, b)
-	u, err := knw.Union(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantNear(t, "concurrent union", u, 600, 3*0.05*600)
 }

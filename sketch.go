@@ -1,8 +1,8 @@
 package knw
 
 // This file defines the package's unifying interfaces. Every sketch in
-// the library — F0, L0, the concurrent wrappers, and the Figure 1
-// comparators in internal/baseline — presents the same ingestion and
+// the library — F0, L0, and the Figure 1 comparators in
+// internal/baseline — presents the same ingestion and
 // reporting surface, so harnesses, pipelines, and storage layers can be
 // written once and swept across implementations.
 
@@ -11,8 +11,7 @@ package knw
 // experiment harness has always used (Add/Estimate/SpaceBits/Name)
 // with batched ingestion: AddBatch must be equivalent to calling Add
 // on each key in order, but lets implementations amortize per-call
-// overhead — hash pipelining in the core sketches, one lock
-// acquisition per shard per batch in the concurrent wrappers.
+// overhead — hash pipelining in the core sketches.
 type Estimator interface {
 	// Add records one stream element.
 	Add(key uint64)
@@ -56,16 +55,8 @@ type Mergeable[T any] interface {
 
 // Compile-time interface conformance for every public sketch.
 var (
-	_ Estimator = (*F0)(nil)
-	_ Estimator = (*L0)(nil)
-	_ Estimator = (*ConcurrentF0)(nil)
-	_ Estimator = (*ConcurrentL0)(nil)
-
+	_ Estimator          = (*F0)(nil)
 	_ TurnstileEstimator = (*L0)(nil)
-	_ TurnstileEstimator = (*ConcurrentL0)(nil)
-
-	_ Mergeable[*F0]           = (*F0)(nil)
-	_ Mergeable[*L0]           = (*L0)(nil)
-	_ Mergeable[*ConcurrentF0] = (*ConcurrentF0)(nil)
-	_ Mergeable[*ConcurrentL0] = (*ConcurrentL0)(nil)
+	_ Mergeable[*F0]     = (*F0)(nil)
+	_ Mergeable[*L0]     = (*L0)(nil)
 )

@@ -16,7 +16,7 @@ import (
 
 func benchConfig() Config {
 	return Config{
-		Kind:    knw.KindConcurrentF0,
+		Kind:    knw.KindF0,
 		Options: []knw.Option{knw.WithEpsilon(0.05), knw.WithSeed(1)},
 	}
 }

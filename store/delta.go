@@ -14,14 +14,18 @@ import (
 // L0), so ingestion needs no shared state: each writer accumulates
 // into a private delta sketch and publishes by merge, and the merged
 // result is byte-identical to a single sketch that saw the union
-// stream — the (ε, δ) bound is untouched. The store exploits that with
-// a small fixed set of per-entry delta slots (GOMAXPROCS+1, so a
-// writer always finds a free slot even while the drainer holds one):
+// stream — the (ε, δ) bound is untouched. This is the store's only
+// write-concurrency mechanism: every sketch in it is a plain F0 or L0.
+// Each entry has a small fixed array of delta slots (GOMAXPROCS+1, so
+// a writer always finds a free slot even while the drainer holds one):
 //
-//   - Ingest/IngestHashed claim a slot with one CAS (free → busy),
-//     append the batch to the slot's private sketch, bump the entry's
-//     pending count, release the slot, and mark the entry dirty. No
-//     mutex, no contention except slot-claim CAS traffic.
+//   - Ingest/IngestHashed claim the lowest free slot with one CAS
+//     (free → busy), append the batch to the slot's private sketch,
+//     bump the entry's pending count, release the slot, and mark the
+//     entry dirty. No mutex, no contention except slot-claim CAS
+//     traffic. Slot sketches are built on first claim, so an entry
+//     holds one per writer that actually overlapped another (or a
+//     drain), not one per slot: a single writer only ever uses slot 0.
 //   - A background epoch loop (Config.EpochInterval) walks the dirty
 //     list and drains each entry under its mutex: every slot is
 //     claimed, merged into the canonical total + current window
@@ -107,20 +111,20 @@ type deltaSlot struct {
 	_       [96]byte
 }
 
-// claim acquires a free slot, round-robin from a per-entry hint, and
-// yields once per full sweep so a spin under oversubscription cannot
-// starve the slot holders.
+// claim acquires the lowest free slot, so higher slots (and their
+// sketches) come into use only while lower ones are busy. A busy slot
+// is skipped on a plain load, keeping the CAS off contended lines, and
+// the claimer yields once per full sweep so a spin under
+// oversubscription cannot starve the slot holders.
 func (e *entry) claim() *deltaSlot {
-	n := uint32(len(e.slots))
-	start := e.rr.Add(1)
-	for attempt := uint32(0); ; attempt++ {
-		sl := &e.slots[(start+attempt)%n]
-		if sl.state.CompareAndSwap(slotFree, slotBusy) {
-			return sl
+	for {
+		for i := range e.slots {
+			sl := &e.slots[i]
+			if sl.state.Load() == slotFree && sl.state.CompareAndSwap(slotFree, slotBusy) {
+				return sl
+			}
 		}
-		if attempt%n == n-1 {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 	}
 }
 

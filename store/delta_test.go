@@ -168,7 +168,6 @@ func TestIngestHashedMatchesIngest(t *testing.T) {
 // must account for every written key (union of w disjoint ranges).
 func TestDeltaIngestStress(t *testing.T) {
 	cfg := testConfig()
-	cfg.Kind = knw.KindConcurrentF0
 	cfg.EpochInterval = time.Millisecond
 	s, err := New(cfg)
 	if err != nil {
@@ -264,7 +263,6 @@ func TestCloseFlushesAndStaysUsable(t *testing.T) {
 // drainer holds at most one slot at a time).
 func TestSlotOverflowNeverBlocks(t *testing.T) {
 	cfg := testConfig()
-	cfg.Kind = knw.KindConcurrentF0
 	cfg.EpochInterval = time.Millisecond
 	s, err := New(cfg)
 	if err != nil {
@@ -292,4 +290,83 @@ func TestSlotOverflowNeverBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	within(t, "overflow estimate", est.AllTime, float64(writers*20), 0.25)
+}
+
+// builtSlots returns the sketches an entry's delta slots hold. Callers
+// run it with no writer or drain in flight.
+func builtSlots(t *testing.T, s *Store, name string) []knw.Estimator {
+	t.Helper()
+	e, err := s.lookup(name, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []knw.Estimator
+	for i := range e.slots {
+		if sk := e.slots[i].sk; sk != nil {
+			out = append(out, sk)
+		}
+	}
+	return out
+}
+
+// TestSlotSketchPerWriter: an entry builds a delta sketch only for the
+// slots its writers actually needed — at most one per concurrent
+// writer plus one — and each is a plain F0, even when GOMAXPROCS
+// allows many more slots. A lone writer never leaves slot 0.
+func TestSlotSketchPerWriter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	s, err := New(Config{Options: []knw.Option{knw.WithEpsilon(0.2), knw.WithSeed(1)}, EpochInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := slotsPerEntry(); n != 9 {
+		t.Fatalf("%d slots per entry at GOMAXPROCS=8", n)
+	}
+	check := func(writers int) {
+		t.Helper()
+		sks := builtSlots(t, s, "t/m")
+		if len(sks) > writers+1 {
+			t.Errorf("%d writer(s) built %d slot sketches, want at most %d", writers, len(sks), writers+1)
+		}
+		for _, sk := range sks {
+			if _, ok := sk.(*knw.F0); !ok {
+				t.Errorf("slot sketch is a %T, want *knw.F0", sk)
+			}
+		}
+	}
+
+	for b := 0; b < 64; b++ {
+		if err := s.Ingest("t/m", keys("solo", b*100, (b+1)*100)); err != nil {
+			t.Fatal(err)
+		}
+		if b%8 == 7 {
+			if _, err := s.Estimate("t/m"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check(1)
+
+	const writers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < 32; b++ {
+				lo := 10_000 + (w*32+b)*50
+				if err := s.Ingest("t/m", keys("k", lo, lo+50)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check(writers)
+	est, err := s.Estimate("t/m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, "estimate after both phases", est.AllTime, 6400+writers*32*50, 0.25)
 }

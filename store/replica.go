@@ -217,26 +217,61 @@ func heldVersion(r *replica) uint64 {
 // the replica set actually changed. ErrNotFound means neither the
 // local store nor any replica holds the name.
 func (rs *ReplicaSet) Estimate(name string) (ViewEstimate, error) {
-	ds, err := rs.st.DeltaSnapshot(name, 0, false)
-	localFound := err == nil
-	if err != nil && !errors.Is(err, ErrNotFound) {
+	local, err := rs.localSnapshot(name)
+	if err != nil {
 		return ViewEstimate{}, err
 	}
-	var localVer uint64
-	if localFound {
-		localVer = ds.Version
-	}
-
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if c, ok := rs.cache[name]; ok && c.localVer == localVer && c.touch == rs.touch[name] {
+	if c, ok := rs.cache[name]; ok && c.localVer == local.Version && c.touch == rs.touch[name] {
 		return c.out, nil
 	}
+	_, out, err := rs.mergeLocked(name, local)
+	if err != nil {
+		return ViewEstimate{}, err
+	}
+	rs.cache[name] = viewCache{localVer: local.Version, touch: rs.touch[name], out: out}
+	return out, nil
+}
+
+// MergedSketch builds a fresh estimator holding the union of the local
+// store's sketch and every held replica for name — the sketch-valued
+// counterpart of Estimate, for set-algebra reads over the O(1) gossip
+// view (the cluster's /v1/query mode=local). The returned sketch is
+// freshly opened and caller-owned; nothing aliases held replicas, so
+// the caller may merge or diff it freely. Unlike Estimate the result
+// is not memoized: a shared cached sketch could not be handed out for
+// mutation.
+func (rs *ReplicaSet) MergedSketch(name string) (knw.Estimator, ViewEstimate, error) {
+	local, err := rs.localSnapshot(name)
+	if err != nil {
+		return nil, ViewEstimate{}, err
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.mergeLocked(name, local)
+}
+
+// localSnapshot reads the local store's full envelope for name. A
+// store that does not hold the name yields a zero DeltaSnap (nil Env,
+// version 0), not an error.
+func (rs *ReplicaSet) localSnapshot(name string) (DeltaSnap, error) {
+	ds, err := rs.st.DeltaSnapshot(name, 0, false)
+	if errors.Is(err, ErrNotFound) {
+		return DeltaSnap{}, nil
+	}
+	return ds, err
+}
+
+// mergeLocked opens the local envelope and merges every held replica
+// of name into it, returning the fresh sketch and its view report.
+// Callers hold rs.mu.
+func (rs *ReplicaSet) mergeLocked(name string, local DeltaSnap) (knw.Estimator, ViewEstimate, error) {
 	var acc knw.Estimator
-	if localFound {
-		acc, err = knw.Open(ds.Env)
-		if err != nil {
-			return ViewEstimate{}, err
+	if local.Env != nil {
+		var err error
+		if acc, err = knw.Open(local.Env); err != nil {
+			return nil, ViewEstimate{}, err
 		}
 	}
 	replicas := 0
@@ -262,60 +297,9 @@ func (rs *ReplicaSet) Estimate(name string) (ViewEstimate, error) {
 		replicas++
 	}
 	if acc == nil {
-		return ViewEstimate{}, fmt.Errorf("%w %q", ErrNotFound, name)
-	}
-	out := ViewEstimate{AllTime: acc.Estimate(), Replicas: replicas, LocalFound: localFound}
-	rs.cache[name] = viewCache{localVer: localVer, touch: rs.touch[name], out: out}
-	return out, nil
-}
-
-// MergedSketch builds a fresh estimator holding the union of the local
-// store's sketch and every held replica for name — the sketch-valued
-// counterpart of Estimate, for set-algebra reads over the O(1) gossip
-// view (the cluster's /v1/query mode=local). The returned sketch is
-// freshly opened and caller-owned; nothing aliases held replicas, so
-// the caller may merge or diff it freely. Unlike Estimate the result
-// is not memoized: a shared cached sketch could not be handed out for
-// mutation.
-func (rs *ReplicaSet) MergedSketch(name string) (knw.Estimator, ViewEstimate, error) {
-	ds, err := rs.st.DeltaSnapshot(name, 0, false)
-	localFound := err == nil
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return nil, ViewEstimate{}, err
-	}
-
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var acc knw.Estimator
-	if localFound {
-		acc, err = knw.Open(ds.Env)
-		if err != nil {
-			return nil, ViewEstimate{}, err
-		}
-	}
-	replicas := 0
-	for _, pr := range rs.peers {
-		r := pr.stores[name]
-		if r == nil {
-			continue
-		}
-		// As in Estimate: replicas were validated at apply time, so reads
-		// degrade to the remaining contributions rather than erroring.
-		if acc == nil {
-			fresh, err := knw.Open(r.env)
-			if err != nil {
-				continue
-			}
-			acc = fresh
-		} else if err := knw.MergeInto(acc, r.est); err != nil {
-			continue
-		}
-		replicas++
-	}
-	if acc == nil {
 		return nil, ViewEstimate{}, fmt.Errorf("%w %q", ErrNotFound, name)
 	}
-	return acc, ViewEstimate{AllTime: acc.Estimate(), Replicas: replicas, LocalFound: localFound}, nil
+	return acc, ViewEstimate{AllTime: acc.Estimate(), Replicas: replicas, LocalFound: local.Env != nil}, nil
 }
 
 // DropPeer discards every replica held for one peer and returns how

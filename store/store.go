@@ -71,7 +71,7 @@ func (w Window) Span() time.Duration { return time.Duration(w.Buckets) * w.Inter
 type Config struct {
 	// Kind is the estimator kind for every sketch the store creates.
 	// It must be a wire kind (Kind.Wire): the store checkpoints through
-	// MarshalBinary/knw.Open. Defaults to KindConcurrentF0.
+	// MarshalBinary/knw.Open. Defaults to KindF0.
 	Kind knw.Kind
 	// Options are the default construction options. If they do not pin
 	// a seed, the store draws one at creation and pins it, so all
@@ -151,11 +151,10 @@ type registryShard struct {
 }
 
 // entry is one named sketch: the all-time total, the optional window
-// ring, and the per-P delta slots ingestion writes through (delta.go).
-// The entry mutex serializes drains, rotation, estimation, merging,
-// and checkpoint capture — so the non-concurrent kinds (F0, L0) are as
-// safe inside a store as the sharded ones — while Ingest/IngestHashed
-// never take it: they only claim a delta slot.
+// ring, and the delta slots ingestion writes through (delta.go). The
+// entry mutex serializes drains, rotation, estimation, merging, and
+// checkpoint capture, while Ingest/IngestHashed never take it: they
+// only claim a delta slot, so concurrent writers never share a sketch.
 type entry struct {
 	mu     sync.Mutex
 	total  knw.Estimator
@@ -168,18 +167,17 @@ type entry struct {
 	enc     *sectionCache
 
 	slots      []deltaSlot
-	rr         atomic.Uint32 // round-robin slot-claim hint
-	pending    atomic.Int64  // keys in slots not yet drained
-	queued     atomic.Bool   // on the store's dirty list
-	writeStamp atomic.Int64  // store-clock nanos of the last windowed write
-	lastDrain  atomic.Int64  // real-clock nanos of the last drain (floor aging)
+	pending    atomic.Int64 // keys in slots not yet drained
+	queued     atomic.Bool  // on the store's dirty list
+	writeStamp atomic.Int64 // store-clock nanos of the last windowed write
+	lastDrain  atomic.Int64 // real-clock nanos of the last drain (floor aging)
 }
 
 // New builds an empty store. The configured kind must serialize
 // (checkpointing needs MarshalBinary / knw.Open).
 func New(cfg Config) (*Store, error) {
 	if cfg.Kind == knw.KindInvalid {
-		cfg.Kind = knw.KindConcurrentF0
+		cfg.Kind = knw.KindF0
 	}
 	if !cfg.Kind.Wire() {
 		return nil, fmt.Errorf("store: kind %s does not serialize and cannot be checkpointed", cfg.Kind)

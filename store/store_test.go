@@ -74,7 +74,7 @@ func TestNameValidation(t *testing.T) {
 
 func TestConcurrentIngest(t *testing.T) {
 	cfg := testConfig()
-	cfg.Kind = knw.KindConcurrentF0
+	cfg.Kind = knw.KindF0
 	cfg.Window = Window{Buckets: 4, Interval: time.Hour}
 	s, err := New(cfg)
 	if err != nil {
