@@ -366,8 +366,76 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 }
 
+// f0BenchEnvelope returns the envelope of a seeded F0 at eps holding
+// 2^15 distinct keys starting at key lo.
+func f0BenchEnvelope(b *testing.B, eps float64, lo int) []byte {
+	sk := knw.NewF0(knw.WithEpsilon(eps), knw.WithSeed(1))
+	keys := make([]uint64, 1<<15)
+	for i := range keys {
+		keys[i] = uint64(lo+i) * 0x9e3779b97f4a7c15
+	}
+	sk.AddBatch(keys)
+	env, err := sk.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
+// BenchmarkF0Open measures knw.Open of an F0 envelope: what gossip
+// apply, checkpoint load and Clone pay per sketch. The set-up builds a
+// sketch from the same options and seed first, so the timed opens
+// decode state over shared hash functions, as every open after a
+// process's first does.
+func BenchmarkF0Open(b *testing.B) {
+	for _, eps := range []float64{0.2, 0.05} {
+		b.Run(epsName(eps), func(b *testing.B) {
+			env := f0BenchEnvelope(b, eps, 0)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(env)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := knw.Open(env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkF0Merge measures knw.MergeInto of one F0 into another whose
+// stream half overlaps it: what a store drain, a gossip-view read and
+// a gather fold pay per sketch. Each merge lands in a freshly opened
+// destination (untimed), so every iteration moves counters.
+func BenchmarkF0Merge(b *testing.B) {
+	for _, eps := range []float64{0.2, 0.05} {
+		b.Run(epsName(eps), func(b *testing.B) {
+			dstEnv := f0BenchEnvelope(b, eps, 0)
+			src, err := knw.Open(f0BenchEnvelope(b, eps, 1<<14))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dst, err := knw.Open(dstEnv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := knw.MergeInto(dst, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func epsName(eps float64) string {
 	switch eps {
+	case 0.2:
+		return "eps=0.20"
 	case 0.1:
 		return "eps=0.10"
 	case 0.05:

@@ -30,10 +30,17 @@ func NewF0(opts ...Option) *F0 {
 	return newF0From(cfg)
 }
 
-// newF0From builds a sketch from resolved settings (shared by NewF0
-// and UnmarshalBinary, which must reproduce the exact hash draws).
-func newF0From(cfg settings) *F0 {
-	f := &F0{cfg: cfg}
+// newF0From builds a sketch from resolved settings (shared by NewF0,
+// UnmarshalBinary and the legacy fold, which must reproduce the exact
+// hash draws): fresh counters over the functions the draw cache holds
+// for cfg (draws.go).
+func newF0From(cfg settings) *F0 { return draws.template(cfg).blank() }
+
+// drawF0 draws every copy's hash functions from cfg's seed, in the
+// order F0 has always drawn them, into a template: an F0 without
+// counter state, good only as the receiver of blank and seedBits.
+func drawF0(cfg settings) *F0 {
+	t := &F0{cfg: cfg}
 	rng := cfg.rng()
 	cc := core.Config{
 		LogN:          cfg.logN,
@@ -43,12 +50,37 @@ func newF0From(cfg settings) *F0 {
 	}
 	for i := 0; i < cfg.copies; i++ {
 		if cfg.reference {
-			f.ref = append(f.ref, core.NewSketch(cc, rng))
+			t.ref = append(t.ref, core.DrawSketch(cc, rng))
 		} else {
-			f.fast = append(f.fast, core.NewFastSketch(cc, rng))
+			t.fast = append(t.fast, core.DrawFastSketch(cc, rng))
 		}
 	}
-	return f
+	return t
+}
+
+// blank returns a fresh sketch over f's hash functions.
+func (f *F0) blank() *F0 {
+	b := &F0{cfg: f.cfg}
+	for _, s := range f.fast {
+		b.fast = append(b.fast, s.Blank())
+	}
+	for _, s := range f.ref {
+		b.ref = append(b.ref, s.Blank())
+	}
+	return b
+}
+
+// seedBits returns the bits of every copy's hash functions: what a
+// draw costs the cache.
+func (f *F0) seedBits() int {
+	total := 0
+	for _, s := range f.fast {
+		total += s.SeedBits()
+	}
+	for _, s := range f.ref {
+		total += s.SeedBits()
+	}
+	return total
 }
 
 // Add records one stream element.
@@ -78,7 +110,7 @@ func (f *F0) AddBatch(keys []uint64) {
 // Reset returns the sketch to its freshly constructed state while
 // keeping its configuration, seed, and hash draws, so it remains
 // mergeable with sketches it was mergeable with before. Used to reuse
-// scratch sketches instead of re-deriving hash functions.
+// scratch sketches instead of allocating fresh counter state.
 func (f *F0) Reset() {
 	for _, s := range f.fast {
 		s.Reset()

@@ -18,7 +18,8 @@ import (
 
 // fuzzSeeds returns valid payloads in every framing, as mutation
 // starting points. The retired sharded framings come from the committed
-// goldens, so the fold decoder (legacy.go) stays fuzzed.
+// goldens, so the fold decoder (legacy.go) stays fuzzed. The last seed
+// is an F0 envelope with a counter past what the VLA can hold.
 func fuzzSeeds() [][]byte {
 	keys := make([]uint64, 500)
 	deltas := make([]int64, len(keys))
@@ -49,7 +50,7 @@ func fuzzSeeds() [][]byte {
 			seeds = append(seeds, b)
 		}
 	}
-	return seeds
+	return append(seeds, overflowCounterF0())
 }
 
 // FuzzOpen: Open must never panic; when it accepts a payload, the

@@ -230,6 +230,41 @@ func TestBitVectorClone(t *testing.T) {
 	}
 }
 
+// TestBitVectorLoad: loading packed words matches setting their bits
+// one at a time, and bits past Len in the tail word are dropped.
+func TestBitVectorLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 63, 64, 100, 128, 200} {
+		words := make([]uint64, (n+63)/64)
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		want := NewBitVector(n)
+		for i := 0; i < n; i++ {
+			if words[i>>6]&(1<<(uint(i)&63)) != 0 {
+				want.Set(i)
+			}
+		}
+		got := NewBitVector(n)
+		got.Set(0) // Load replaces, not ORs
+		got.Load(words)
+		if got.Count() != want.Count() {
+			t.Errorf("n=%d: Count %d, per-bit Set gives %d", n, got.Count(), want.Count())
+		}
+		for i, w := range got.Words() {
+			if w != want.Words()[i] {
+				t.Errorf("n=%d: word %d = %#x, per-bit Set gives %#x", n, i, w, want.Words()[i])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Load of the wrong word count did not panic")
+		}
+	}()
+	NewBitVector(64).Load(make([]uint64, 2))
+}
+
 func TestBitVectorOutOfRangePanics(t *testing.T) {
 	b := NewBitVector(10)
 	for _, f := range []func(){

@@ -77,6 +77,24 @@ func (b *BitVector) Or(other *BitVector) {
 	b.ones = ones
 }
 
+// Load replaces b's bits with the packed words, one word at a time;
+// bits at or past Len in the last word are dropped. words must hold
+// exactly as many words as Words does.
+func (b *BitVector) Load(words []uint64) {
+	if len(words) != len(b.words) {
+		panic("bitutil: BitVector length mismatch in Load")
+	}
+	copy(b.words, words)
+	if tail := uint(b.n) & 63; tail != 0 {
+		b.words[len(b.words)-1] &= 1<<tail - 1
+	}
+	ones := 0
+	for _, w := range b.words {
+		ones += bits.OnesCount64(w)
+	}
+	b.ones = ones
+}
+
 // Clone returns a deep copy of b.
 func (b *BitVector) Clone() *BitVector {
 	w := make([]uint64, len(b.words))

@@ -18,6 +18,15 @@ import (
 // finishes each phase in time).
 const copyChunk = 3 * 256
 
+// copyChunk and every K (a power of two ≥ 32) are multiples of
+// vla.BlockSize, so copy and reset phases start and stop on block
+// boundaries and move whole blocks. The constants fail to compile
+// otherwise.
+const (
+	_ uint = -(copyChunk % vla.BlockSize)
+	_ uint = -(32 % vla.BlockSize)
+)
+
 // FastSketch is the Theorem 9 implementation of Figure 3, with O(1)
 // worst-case update and reporting times:
 //
@@ -71,6 +80,15 @@ type FastSketch struct {
 
 // NewFastSketch draws a fresh Theorem 9 sketch using randomness from rng.
 func NewFastSketch(cfg Config, rng *rand.Rand) *FastSketch {
+	return DrawFastSketch(cfg, rng).Blank()
+}
+
+// DrawFastSketch draws a sketch's hash functions from rng — h1, h2, h3,
+// then the rough estimator's, in the order NewFastSketch draws them —
+// and builds the optional logarithm table. It returns them as a
+// template: a FastSketch without counters, good only as the receiver
+// of Blank and SeedBits.
+func DrawFastSketch(cfg Config, rng *rand.Rand) *FastSketch {
 	cfg.normalize()
 	k := cfg.K
 	s := &FastSketch{
@@ -79,18 +97,36 @@ func NewFastSketch(cfg Config, rng *rand.Rand) *FastSketch {
 		h1:      hashfn.NewTwoWise(rng, 1),
 		h2:      hashfn.NewTwoWise(rng, uint64(k)*uint64(k)*uint64(k)),
 		h3:      hashfn.NewTabulation32(rng, uint64(2*k)),
-		re:      rough.New(rough.Config{LogN: cfg.LogN, KRE: cfg.RoughKRE, Fast: true}, rng),
-		small:   newSmallF0(k),
+		re:      rough.Draw(rough.Config{LogN: cfg.LogN, KRE: cfg.RoughKRE, Fast: true}, rng),
 		lnK:     math.Log1p(-1 / float64(k)),
-		copyPos: -1,
 	}
 	if cfg.UseLnTable {
 		s.ln = lntable.New(k)
 	}
-	s.arr[0] = vla.New(k)
-	s.arr[1] = vla.New(k)
-	s.resetPos = k // the off array starts clean
 	return s
+}
+
+// Blank returns a fresh sketch over s's hash functions and logarithm
+// table: s's configuration, new empty counter state. s may be a
+// template or a live sketch. Nothing writes the shared parts after
+// DrawFastSketch, so sketches sharing them may run on different
+// goroutines.
+func (s *FastSketch) Blank() *FastSketch {
+	k := s.cfg.K
+	return &FastSketch{
+		cfg:      s.cfg,
+		keyMask:  s.keyMask,
+		h1:       s.h1,
+		h2:       s.h2,
+		h3:       s.h3,
+		re:       s.re.Blank(),
+		small:    newSmallF0(k),
+		ln:       s.ln,
+		lnK:      s.lnK,
+		arr:      [2]*vla.Array{vla.New(k), vla.New(k)},
+		copyPos:  -1,
+		resetPos: k, // the off array starts clean
+	}
 }
 
 // K returns the counter count.
@@ -263,10 +299,7 @@ func (s *FastSketch) writeMax(a *vla.Array, accA, accT *int, j, x int) {
 // a deamortized copy phase.
 func (s *FastSketch) onRoughChange(r uint64) {
 	s.est = int(bitutil.FloorLog2(r))
-	bnew := s.est - (int(bitutil.FloorLog2(uint64(s.cfg.K))) - 5)
-	if bnew < 0 {
-		bnew = 0
-	}
+	bnew := s.offsetFor(s.est)
 	if s.copyPos >= 0 {
 		if bnew == s.bPend {
 			return
@@ -299,6 +332,18 @@ func (s *FastSketch) onRoughChange(r uint64) {
 	s.advanceCopy(copyChunk)
 }
 
+// offsetFor is Figure 3's offset for a rough estimate of 2^est:
+// b = max(0, est − log2(K/32)). The offset never exceeds offsetFor(est)
+// (est and b only grow, and a merge takes the maximum of each), so a
+// rescale never shifts counters up.
+func (s *FastSketch) offsetFor(est int) int {
+	b := est - (int(bitutil.FloorLog2(uint64(s.cfg.K))) - 5)
+	if b < 0 {
+		return 0
+	}
+	return b
+}
+
 // advanceCopy migrates up to n counters from the primary to the
 // secondary at the pending offset, swapping the arrays when done.
 func (s *FastSketch) advanceCopy(n int) {
@@ -308,21 +353,24 @@ func (s *FastSketch) advanceCopy(n int) {
 		end = s.cfg.K
 	}
 	delta := s.b - s.bPend
-	for ; s.copyPos < end; s.copyPos++ {
-		nc := int(pri.Read(s.copyPos)) - 1
-		if nc >= 0 {
-			nc += delta
-			if nc < -1 {
-				nc = -1
+	var vals [vla.BlockSize]uint64
+	for ; s.copyPos < end; s.copyPos += vla.BlockSize {
+		pri.DecodeRange(s.copyPos, vals[:])
+		for i, v := range vals {
+			nc := int(v) - 1
+			if nc >= 0 {
+				nc += delta
+				if nc < -1 {
+					nc = -1
+				}
 			}
+			if nc >= 0 {
+				s.tSec++
+			}
+			s.aSec += int(bitutil.CeilLog2(uint64(nc + 2)))
+			vals[i] = uint64(nc + 1)
 		}
-		if nc >= 0 {
-			sec.Write(s.copyPos, uint64(nc+1))
-			s.tSec++
-		} else if sec.Read(s.copyPos) != 0 {
-			sec.Write(s.copyPos, 0)
-		}
-		s.aSec += int(bitutil.CeilLog2(uint64(nc + 2)))
+		sec.EncodeRange(s.copyPos, vals[:])
 	}
 	if s.copyPos == s.cfg.K {
 		// Phase complete: the secondary becomes primary.
@@ -339,16 +387,12 @@ func (s *FastSketch) advanceCopy(n int) {
 
 // advanceReset lazily zeroes up to n slots of the retired array.
 func (s *FastSketch) advanceReset(n int) {
-	off := s.arr[1-s.cur]
 	end := s.resetPos + n
 	if end > s.cfg.K {
 		end = s.cfg.K
 	}
-	for ; s.resetPos < end; s.resetPos++ {
-		if off.Read(s.resetPos) != 0 {
-			off.Write(s.resetPos, 0)
-		}
-	}
+	s.arr[1-s.cur].ZeroRange(s.resetPos, end-s.resetPos)
+	s.resetPos = end
 }
 
 // Estimate returns F̃0 with the same contract as Sketch.Estimate, in
@@ -411,22 +455,28 @@ func (s *FastSketch) MergeFrom(o *FastSketch) {
 	}
 	pri, opri := s.arr[s.cur], o.arr[o.cur]
 	s.aPri, s.tPri = 0, 0
-	for j := 0; j < s.cfg.K; j++ {
-		cv := int(pri.Read(j)) - 1
-		ov := int(opri.Read(j)) - 1
-		if ov >= 0 {
-			ov += o.b - s.b
-			if ov < -1 {
-				ov = -1
+	var cs, ocs [vla.BlockSize]uint64
+	for lo := 0; lo < s.cfg.K; lo += vla.BlockSize {
+		pri.DecodeRange(lo, cs[:])
+		opri.DecodeRange(lo, ocs[:])
+		changed := false
+		for i := range cs {
+			cv := int(cs[i]) - 1
+			if ov := int(ocs[i]) - 1; ov >= 0 {
+				ov += o.b - s.b
+				if ov > cv {
+					cv = ov
+					cs[i] = uint64(cv + 1)
+					changed = true
+				}
+			}
+			s.aPri += int(bitutil.CeilLog2(uint64(cv + 2)))
+			if cv >= 0 {
+				s.tPri++
 			}
 		}
-		if ov > cv {
-			cv = ov
-			pri.Write(j, uint64(cv+1))
-		}
-		s.aPri += int(bitutil.CeilLog2(uint64(cv + 2)))
-		if cv >= 0 {
-			s.tPri++
+		if changed {
+			pri.EncodeRange(lo, cs[:])
 		}
 	}
 	if s.aPri > 3*s.cfg.K {
@@ -444,16 +494,24 @@ func (s *FastSketch) shiftTo(bnew int) {
 	}
 	pri := s.arr[s.cur]
 	delta := s.b - bnew
-	for j := 0; j < s.cfg.K; j++ {
-		cv := int(pri.Read(j)) - 1
-		if cv < 0 {
-			continue
+	var vals [vla.BlockSize]uint64
+	for lo := 0; lo < s.cfg.K; lo += vla.BlockSize {
+		pri.DecodeRange(lo, vals[:])
+		changed := false
+		for i, v := range vals {
+			if v == 0 {
+				continue
+			}
+			cv := int(v) - 1 + delta
+			if cv < -1 {
+				cv = -1
+			}
+			vals[i] = uint64(cv + 1)
+			changed = true
 		}
-		cv += delta
-		if cv < -1 {
-			cv = -1
+		if changed {
+			pri.EncodeRange(lo, vals[:])
 		}
-		pri.Write(j, uint64(cv+1))
 	}
 	s.b = bnew
 }
@@ -474,6 +532,17 @@ func (s *FastSketch) Reset() {
 	s.rescales, s.drains = 0, 0
 	s.re.Reset()
 	s.small.reset()
+}
+
+// SeedBits returns the bits of the hash functions, the rough
+// estimator's included, and of the logarithm table: the part Blank
+// shares rather than allocates.
+func (s *FastSketch) SeedBits() int {
+	total := s.h1.SeedBits() + s.h2.SeedBits() + s.h3.SeedBits() + s.re.SeedBits()
+	if s.ln != nil {
+		total += s.ln.SpaceBits()
+	}
+	return total
 }
 
 // SpaceBits reports the accounted footprint: both counter arrays (the

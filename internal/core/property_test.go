@@ -10,6 +10,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/binenc"
+	"repro/internal/vla"
 )
 
 func buildPair(seed int64, keysA, keysB []uint64) (*FastSketch, *FastSketch) {
@@ -147,6 +150,81 @@ func TestOffsetNeverNegativeProperty(t *testing.T) {
 		s.Add(rng.Uint64())
 		if s.B() < 0 {
 			t.Fatalf("offset went negative at update %d", i)
+		}
+	}
+}
+
+// TestBlankSharesDrawsNotState: a blank of a live sketch starts empty,
+// then evolves exactly like a sketch drawn afresh from the same seed,
+// and leaves the live sketch's state alone — for both implementations.
+func TestBlankSharesDrawsNotState(t *testing.T) {
+	cfg := Config{K: 256}
+	keys := make([]uint64, 20000)
+	for i := range keys {
+		keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	type sketch interface {
+		AddBatch([]uint64)
+		Estimate() (float64, error)
+		AppendState(*binenc.Writer)
+	}
+	state := func(s sketch) string {
+		var w binenc.Writer
+		s.AppendState(&w)
+		return string(w.Buf)
+	}
+	for name, mk := range map[string]func() (live, blank, fresh sketch){
+		"fast": func() (sketch, sketch, sketch) {
+			live := NewFastSketch(cfg, rand.New(rand.NewSource(8)))
+			live.AddBatch(keys)
+			return live, live.Blank(), NewFastSketch(cfg, rand.New(rand.NewSource(8)))
+		},
+		"reference": func() (sketch, sketch, sketch) {
+			live := NewSketch(cfg, rand.New(rand.NewSource(8)))
+			live.AddBatch(keys)
+			return live, live.Blank(), NewSketch(cfg, rand.New(rand.NewSource(8)))
+		},
+	} {
+		live, blank, fresh := mk()
+		before := state(live)
+		if v, err := blank.Estimate(); v != 0 || err != nil {
+			t.Errorf("%s: blank estimates %v, %v; want 0", name, v, err)
+		}
+		blank.AddBatch(keys[:5000])
+		fresh.AddBatch(keys[:5000])
+		if state(blank) != state(fresh) {
+			t.Errorf("%s: blank and fresh draw diverge on the same stream", name)
+		}
+		if state(live) != before {
+			t.Errorf("%s: updating the blank changed the live sketch", name)
+		}
+	}
+}
+
+func TestPhasesStayBlockAligned(t *testing.T) {
+	// copyChunk and every legal K are multiples of vla.BlockSize, so
+	// copy and reset phases start and stop on block boundaries and the
+	// whole-block passes never see part of a block (fast.go guards the
+	// constants at compile time; here the phases are watched running).
+	if copyChunk%vla.BlockSize != 0 {
+		t.Fatalf("copyChunk %d is not a multiple of vla.BlockSize %d", copyChunk, vla.BlockSize)
+	}
+	for _, k := range []int{32, 64, 1024, 4096} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		s := NewFastSketch(Config{K: k}, rng)
+		midPhase := 0
+		for i := 0; i < 100000; i++ {
+			s.Add(rng.Uint64())
+			if s.copyPos%vla.BlockSize > 0 || s.resetPos%vla.BlockSize != 0 {
+				t.Fatalf("K=%d, update %d: phase positions %d (copy), %d (reset) are not block-aligned",
+					k, i, s.copyPos, s.resetPos)
+			}
+			if s.copyPos > 0 {
+				midPhase++
+			}
+		}
+		if k > copyChunk && midPhase == 0 {
+			t.Errorf("K=%d: no update landed inside a copy phase", k)
 		}
 	}
 }

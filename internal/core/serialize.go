@@ -82,11 +82,8 @@ func (s *FastSketch) AppendState(w *binenc.Writer) {
 		s.advanceReset(s.cfg.K)
 	}
 	w.Uvarint(uint64(s.cfg.K))
-	pri := s.arr[s.cur]
 	cs := make([]uint64, s.cfg.K)
-	for i := range cs {
-		cs[i] = pri.Read(i)
-	}
+	s.arr[s.cur].DecodeRange(0, cs)
 	w.Uints(cs)
 	w.Varint(int64(s.b))
 	w.Varint(int64(s.est))
@@ -118,20 +115,24 @@ func (s *FastSketch) RestoreState(r *binenc.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(cs) != s.cfg.K || b < 0 || est < 0 {
+	if len(cs) != s.cfg.K || b < 0 || est < 0 || est > 63 || b > int64(s.offsetFor(int(est))) {
+		// est is the log of a uint64 estimate; an offset past the one
+		// est calls for would make the next rescale shift counters up.
 		return binenc.ErrCorrupt
 	}
-	pri := s.arr[s.cur]
 	s.aPri, s.tPri = 0, 0
-	for i, v := range cs {
+	for _, v := range cs {
+		// A counter holds C+1 with C = lvl − b ≤ LogN; anything larger
+		// is corrupt (and past 60 bits the VLA could not hold it).
+		if v > uint64(s.cfg.LogN)+1 {
+			return binenc.ErrCorrupt
+		}
 		if v > 0 {
-			pri.Write(i, v)
 			s.tPri++
-		} else if pri.Read(i) != 0 {
-			pri.Write(i, 0)
 		}
 		s.aPri += int(bitutil.CeilLog2(v + 1))
 	}
+	s.arr[s.cur].EncodeRange(0, cs)
 	s.b, s.est = int(b), int(est)
 	s.failed = failed
 	s.rescales = int(rescales)
@@ -170,11 +171,6 @@ func (s *smallF0) restoreState(r *binenc.Reader, k int) error {
 		s.exact[key] = struct{}{}
 	}
 	s.overflow = overflow
-	s.bv.Reset()
-	for i := 0; i < s.bv.Len(); i++ {
-		if words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			s.bv.Set(i)
-		}
-	}
+	s.bv.Load(words)
 	return nil
 }

@@ -35,24 +35,45 @@ type Sketch struct {
 }
 
 // NewSketch draws a fresh reference sketch using randomness from rng.
-func NewSketch(cfg Config, rng *rand.Rand) *Sketch {
+func NewSketch(cfg Config, rng *rand.Rand) *Sketch { return DrawSketch(cfg, rng).Blank() }
+
+// DrawSketch draws a reference sketch's hash functions from rng — h1,
+// h2, h3, then the rough estimator's, in the order NewSketch draws
+// them — and returns them as a template: a Sketch without counters,
+// good only as the receiver of Blank and SeedBits.
+func DrawSketch(cfg Config, rng *rand.Rand) *Sketch {
 	cfg.normalize()
 	k := cfg.K
-	s := &Sketch{
+	return &Sketch{
 		cfg:     cfg,
 		keyMask: bitutil.Mask(cfg.LogN),
 		h1:      hashfn.NewTwoWise(rng, 1),
 		h2:      hashfn.NewTwoWise(rng, uint64(k)*uint64(k)*uint64(k)),
 		h3: hashfn.NewKWise(rng,
 			hashfn.KForEps(uint64(k), 1/math.Sqrt(float64(k))), uint64(2*k)),
-		re:    rough.New(rough.Config{LogN: cfg.LogN, KRE: cfg.RoughKRE}, rng),
-		small: newSmallF0(k),
-		c:     make([]int8, k),
+		re: rough.Draw(rough.Config{LogN: cfg.LogN, KRE: cfg.RoughKRE}, rng),
 	}
-	for i := range s.c {
-		s.c[i] = -1
+}
+
+// Blank returns a fresh sketch over s's hash functions: s's
+// configuration, new empty counter state. s may be a template or a
+// live sketch (see FastSketch.Blank).
+func (s *Sketch) Blank() *Sketch {
+	k := s.cfg.K
+	b := &Sketch{
+		cfg:     s.cfg,
+		keyMask: s.keyMask,
+		h1:      s.h1,
+		h2:      s.h2,
+		h3:      s.h3,
+		re:      s.re.Blank(),
+		small:   newSmallF0(k),
+		c:       make([]int8, k),
 	}
-	return s
+	for i := range b.c {
+		b.c[i] = -1
+	}
+	return b
 }
 
 // K returns the counter count (the paper's K = 1/ε²).
@@ -275,6 +296,12 @@ func (s *Sketch) Reset() {
 	s.rescales = 0
 	s.re.Reset()
 	s.small.reset()
+}
+
+// SeedBits returns the bits of the hash functions, the rough
+// estimator's included: the part Blank shares rather than allocates.
+func (s *Sketch) SeedBits() int {
+	return s.h1.SeedBits() + s.h2.SeedBits() + s.h3.SeedBits() + s.re.SeedBits()
 }
 
 // SpaceBits reports the sketch's accounted footprint. For the reference

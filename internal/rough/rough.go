@@ -101,7 +101,12 @@ type sub struct {
 }
 
 // New draws a fresh RoughEstimator using randomness from rng.
-func New(cfg Config, rng *rand.Rand) *Estimator {
+func New(cfg Config, rng *rand.Rand) *Estimator { return Draw(cfg, rng).Blank() }
+
+// Draw draws an estimator's hash functions from rng, in the order New
+// draws them, and returns them as a template: an Estimator without
+// counters, good only as the receiver of Blank and SeedBits.
+func Draw(cfg Config, rng *rand.Rand) *Estimator {
 	if cfg.LogN == 0 || cfg.LogN > 62 {
 		panic("rough: LogN must be in [1, 62]")
 	}
@@ -125,14 +130,27 @@ func New(cfg Config, rng *rand.Rand) *Estimator {
 			// Figure 2 asks for 2·K_RE-wise independence on [K_RE³].
 			s.h3 = hashfn.NewKWise(rng, 2*kre, uint64(kre))
 		}
-		s.c = make([]int8, kre)
+	}
+	return e
+}
+
+// Blank returns a fresh estimator over e's hash functions: e's
+// configuration, new empty counters. e may be a template or a live
+// estimator. Nothing writes a hash function after Draw, so estimators
+// sharing them may run on different goroutines.
+func (e *Estimator) Blank() *Estimator {
+	b := &Estimator{logN: e.logN, kre: e.kre, thresh: e.thresh}
+	for j := range b.subs {
+		s := &b.subs[j]
+		s.h1, s.h2, s.h3 = e.subs[j].h1, e.subs[j].h2, e.subs[j].h3
+		s.c = make([]int8, b.kre)
 		for i := range s.c {
 			s.c[i] = -1
 		}
-		s.t = make([]uint32, cfg.LogN+2)
+		s.t = make([]uint32, b.logN+2)
 		s.r = -1
 	}
-	return e
+	return b
 }
 
 // KRE returns the per-sub-estimator counter count.
@@ -324,11 +342,20 @@ func (e *Estimator) Reset() {
 // its table size, see DESIGN.md §5(1)).
 func (e *Estimator) SpaceBits() int {
 	perCounter := int(bitutil.CeilLog2(uint64(e.logN) + 2))
+	total := e.SeedBits()
+	for j := range e.subs {
+		total += e.kre * perCounter
+		total += len(e.subs[j].t) * 32
+	}
+	return total
+}
+
+// SeedBits returns the bits of the three sub-estimators' hash
+// functions: the part Blank shares rather than allocates.
+func (e *Estimator) SeedBits() int {
 	total := 0
 	for j := range e.subs {
 		s := &e.subs[j]
-		total += e.kre * perCounter
-		total += len(s.t) * 32
 		total += s.h1.SeedBits() + s.h2.SeedBits() + s.h3.SeedBits()
 	}
 	return total

@@ -12,7 +12,7 @@
 // Θ(K·loglog n) bits and break the O(ε⁻² + log n) space bound, which is
 // exactly why the paper reaches for this structure.
 //
-// Layout: entries are grouped into blocks of blockSize = 16. A block
+// Layout: entries are grouped into blocks of BlockSize = 16. A block
 // stores a 4-bit-granular length code per entry (lengths are rounded up
 // to multiples of 4 bits, preserving the O(1 + len) charge) and a
 // packed payload of []uint64 words. Because the block size is a fixed
@@ -22,12 +22,17 @@
 // operations — the same accounting Blandford–Blelloch use.
 package vla
 
-import "fmt"
-
-const (
-	blockSize = 16 // entries per block; constant so block ops are O(1)
-	granule   = 4  // lengths are multiples of 4 bits; codes fit in 4 bits
+import (
+	"fmt"
+	"math/bits"
 )
+
+// BlockSize is the number of entries per block; it is constant so block
+// operations are O(1). The range operations (DecodeRange, EncodeRange,
+// ZeroRange) move whole blocks, so their bounds must be multiples of it.
+const BlockSize = 16
+
+const granule = 4 // lengths are multiples of 4 bits; codes fit in 4 bits
 
 // Array is a variable-bit-length array of uint64 values.
 type Array struct {
@@ -48,7 +53,7 @@ func New(n int) *Array {
 	}
 	return &Array{
 		n:      n,
-		blocks: make([]block, (n+blockSize-1)/blockSize),
+		blocks: make([]block, (n+BlockSize-1)/BlockSize),
 	}
 }
 
@@ -63,11 +68,7 @@ func codeFor(v uint64) uint64 {
 	if v >= 1<<60 {
 		panic("vla: value exceeds 60 bits")
 	}
-	c := uint64(0)
-	for x := v; x != 0; x >>= granule {
-		c++
-	}
-	return c
+	return uint64(bits.Len64(v)+granule-1) / granule
 }
 
 func (b *block) code(slot int) uint64 {
@@ -80,7 +81,7 @@ func (b *block) setCode(slot int, c uint64) {
 }
 
 // bitOffset returns the payload bit position where slot's entry starts:
-// the sum of preceding entries' lengths. blockSize is constant, so this
+// the sum of preceding entries' lengths. BlockSize is constant, so this
 // is O(1) word operations.
 func (b *block) bitOffset(slot int) uint {
 	off := uint(0)
@@ -93,8 +94,8 @@ func (b *block) bitOffset(slot int) uint {
 // Read returns entry i.
 func (a *Array) Read(i int) uint64 {
 	a.check(i)
-	b := &a.blocks[i/blockSize]
-	slot := i % blockSize
+	b := &a.blocks[i/BlockSize]
+	slot := i % BlockSize
 	nbits := uint(b.code(slot)) * granule
 	if nbits == 0 {
 		return 0
@@ -107,8 +108,8 @@ func (a *Array) Read(i int) uint64 {
 // block: O(1) word operations.
 func (a *Array) Write(i int, v uint64) {
 	a.check(i)
-	b := &a.blocks[i/blockSize]
-	slot := i % blockSize
+	b := &a.blocks[i/BlockSize]
+	slot := i % BlockSize
 	oldCode := b.code(slot)
 	newCode := codeFor(v)
 	if oldCode == newCode {
@@ -118,9 +119,67 @@ func (a *Array) Write(i int, v uint64) {
 		return
 	}
 	// Length changed: decode the whole block, update, re-encode.
-	var vals [blockSize]uint64
+	var vals [BlockSize]uint64
+	b.decode(&vals)
+	vals[slot] = v
+	b.setCode(slot, newCode)
+	b.pack(&vals)
+}
+
+// DecodeRange copies entries [lo, lo+len(dst)) into dst, decoding each
+// block once instead of locating every entry on its own. lo and
+// len(dst) must be multiples of BlockSize.
+func (a *Array) DecodeRange(lo int, dst []uint64) {
+	bi := a.blockRange(lo, len(dst))
+	for i := 0; i < len(dst); i += BlockSize {
+		a.blocks[bi].decode((*[BlockSize]uint64)(dst[i:]))
+		bi++
+	}
+}
+
+// EncodeRange sets entries [lo, lo+len(src)) to src, repacking each
+// block once. lo and len(src) must be multiples of BlockSize.
+func (a *Array) EncodeRange(lo int, src []uint64) {
+	bi := a.blockRange(lo, len(src))
+	for i := 0; i < len(src); i += BlockSize {
+		vals := (*[BlockSize]uint64)(src[i:])
+		b := &a.blocks[bi]
+		b.codes = 0
+		for s, v := range vals {
+			b.codes |= codeFor(v) << (4 * uint(s))
+		}
+		b.pack(vals)
+		bi++
+	}
+}
+
+// ZeroRange zeroes entries [lo, lo+n), releasing their payload storage
+// as Reset does. lo and n must be multiples of BlockSize.
+func (a *Array) ZeroRange(lo, n int) {
+	bi := a.blockRange(lo, n)
+	for i := bi; i < bi+n/BlockSize; i++ {
+		a.blocks[i].codes = 0
+		a.blocks[i].data = a.blocks[i].data[:0]
+	}
+}
+
+// blockRange checks that [lo, lo+n) covers whole blocks of the array
+// and returns the index of its first block.
+func (a *Array) blockRange(lo, n int) int {
+	if lo < 0 || n < 0 || lo%BlockSize != 0 || n%BlockSize != 0 || lo+n > a.n {
+		panic(fmt.Sprintf("vla: range [%d,%d) is not whole blocks of [0,%d)", lo, lo+n, a.n))
+	}
+	return lo / BlockSize
+}
+
+// decode unpacks the block's entries into vals.
+func (b *block) decode(vals *[BlockSize]uint64) {
+	if b.codes == 0 {
+		*vals = [BlockSize]uint64{}
+		return
+	}
 	off := uint(0)
-	for s := 0; s < blockSize; s++ {
+	for s := range vals {
 		n := uint(b.code(s)) * granule
 		if n > 0 {
 			vals[s] = extractBits(b.data, off, n)
@@ -129,27 +188,27 @@ func (a *Array) Write(i int, v uint64) {
 		}
 		off += n
 	}
-	vals[slot] = v
-	b.setCode(slot, newCode)
+}
+
+// pack rewrites the block's payload to hold vals under its current
+// length codes, reusing the payload storage when it is large enough.
+func (b *block) pack(vals *[BlockSize]uint64) {
 	total := uint(0)
-	for s := 0; s < blockSize; s++ {
+	for s := 0; s < BlockSize; s++ {
 		total += uint(b.code(s)) * granule
 	}
 	words := int((total + 63) / 64)
 	if cap(b.data) < words {
-		nd := make([]uint64, words, words+2)
-		b.data = nd
+		b.data = make([]uint64, words, words+2)
 	} else {
 		b.data = b.data[:words]
-		for w := range b.data {
-			b.data[w] = 0
-		}
+		clear(b.data)
 	}
-	off = 0
-	for s := 0; s < blockSize; s++ {
+	off := uint(0)
+	for s, v := range vals {
 		n := uint(b.code(s)) * granule
 		if n > 0 {
-			depositBits(b.data, off, n, vals[s])
+			depositBits(b.data, off, n, v)
 		}
 		off += n
 	}
@@ -161,7 +220,7 @@ func (a *Array) PayloadBits() int {
 	total := 0
 	for bi := range a.blocks {
 		b := &a.blocks[bi]
-		for s := 0; s < blockSize; s++ {
+		for s := 0; s < BlockSize; s++ {
 			total += int(b.code(s)) * granule
 		}
 	}

@@ -180,6 +180,87 @@ func TestBoundsPanics(t *testing.T) {
 	}
 }
 
+// TestRangeOps is a property test of the whole-block operations
+// against the per-entry ones: DecodeRange equals Read entry by entry,
+// EncodeRange then Read returns the input, ZeroRange clears, entries
+// outside the range are untouched, and the footprint matches an array
+// built by per-entry Writes of the same values.
+func TestRangeOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const n = 8 * BlockSize
+	value := func() uint64 {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return rng.Uint64() >> uint(4+rng.Intn(61)) // 0..60 bits
+	}
+	model := make([]uint64, n)
+	a := New(n)
+	check := func(what string) {
+		t.Helper()
+		ref := New(n)
+		for i, v := range model {
+			if got := a.Read(i); got != v {
+				t.Fatalf("%s: entry %d = %d, want %d", what, i, got, v)
+			}
+			ref.Write(i, v)
+		}
+		if a.SpaceBits() != ref.SpaceBits() || a.PayloadBits() != ref.PayloadBits() {
+			t.Fatalf("%s: space %d/%d bits, per-entry writes give %d/%d", what,
+				a.SpaceBits(), a.PayloadBits(), ref.SpaceBits(), ref.PayloadBits())
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		for i := 0; i < n/4; i++ {
+			j := rng.Intn(n)
+			model[j] = value()
+			a.Write(j, model[j])
+		}
+		lo := rng.Intn(n/BlockSize) * BlockSize
+		cnt := rng.Intn((n-lo)/BlockSize+1) * BlockSize
+
+		got := make([]uint64, cnt)
+		a.DecodeRange(lo, got)
+		for j, v := range got {
+			if v != a.Read(lo+j) {
+				t.Fatalf("trial %d: DecodeRange entry %d = %d, Read = %d", trial, lo+j, v, a.Read(lo+j))
+			}
+		}
+
+		src := make([]uint64, cnt)
+		for j := range src {
+			src[j] = value()
+		}
+		a.EncodeRange(lo, src)
+		copy(model[lo:], src)
+		check("EncodeRange")
+
+		if rng.Intn(2) == 0 {
+			a.ZeroRange(lo, cnt)
+			clear(model[lo : lo+cnt])
+			check("ZeroRange")
+		}
+	}
+
+	for _, r := range [][2]int{{1, BlockSize}, {0, BlockSize - 1}, {BlockSize, n},
+		{-BlockSize, BlockSize}, {n, BlockSize}} {
+		for name, op := range map[string]func(){
+			"DecodeRange": func() { a.DecodeRange(r[0], make([]uint64, r[1])) },
+			"EncodeRange": func() { a.EncodeRange(r[0], make([]uint64, r[1])) },
+			"ZeroRange":   func() { a.ZeroRange(r[0], r[1]) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d, %d) accepted a range that is not whole blocks", name, r[0], r[1])
+					}
+				}()
+				op()
+			}()
+		}
+	}
+}
+
 func TestCodeFor(t *testing.T) {
 	cases := []struct {
 		v    uint64

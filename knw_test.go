@@ -131,6 +131,9 @@ func TestF0SpaceBitsPositiveAndScales(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	for _, opt := range []Option{
 		WithEpsilon(0), WithEpsilon(1), WithDelta(0), WithDelta(1),
+		// NaN fails every comparison: admitted, it built sketches whose
+		// own envelopes Open rejected and that never compared equal.
+		WithEpsilon(math.NaN()), WithDelta(math.NaN()),
 		WithCopies(0), WithUniverseBits(3), WithUniverseBits(63),
 		WithUpdateBits(0), WithUpdateBits(63),
 	} {

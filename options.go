@@ -64,7 +64,7 @@ type Option func(*settings)
 // (default 0.05). Space grows as ε⁻².
 func WithEpsilon(eps float64) Option {
 	return func(s *settings) {
-		if eps <= 0 || eps >= 1 {
+		if !(eps > 0 && eps < 1) { // NaN too
 			panic("knw: epsilon must be in (0,1)")
 		}
 		s.eps = eps
@@ -76,7 +76,7 @@ func WithEpsilon(eps float64) Option {
 // paper prescribes ("amplified by independent repetition").
 func WithDelta(delta float64) Option {
 	return func(s *settings) {
-		if delta <= 0 || delta >= 1 {
+		if !(delta > 0 && delta < 1) { // NaN too
 			panic("knw: delta must be in (0,1)")
 		}
 		s.delta = delta

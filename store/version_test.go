@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	knw "repro"
+	"repro/internal/binenc"
 )
 
 // TestVersionBumps: the version counter moves on exactly the
@@ -277,6 +278,57 @@ func TestReplicaSetFlow(t *testing.T) {
 	}
 	if err := rs.ApplyFull("http://peer-a", "acme/users", 1, fenv); !errors.Is(err, knw.ErrIncompatible) {
 		t.Fatalf("foreign envelope: %v", err)
+	}
+}
+
+// TestReplicaApplyRejectsOutOfRangeCounter: a pulled envelope whose
+// first counter is 2^61 (the VLA holds at most 60 bits) is rejected as
+// corrupt, and the held replica survives. Gossip applies run in their
+// own goroutine with no recover, so a panic here would kill the node.
+func TestReplicaApplyRejectsOutOfRangeCounter(t *testing.T) {
+	local, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.Ingest("acme/users", keys("remote", 0, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := remote.DeltaSnapshot("acme/users", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewReplicaSet(local)
+	rs.SetInstance("http://peer-a", 42)
+	if err := rs.ApplyFull("http://peer-a", "acme/users", snap.Version, snap.Env); err != nil {
+		t.Fatal(err)
+	}
+
+	es, err := knw.SplitEnvelope(snap.Env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := binenc.Reader{Buf: es.Sections[0]}
+	k := r.Uvarint()
+	cs := r.Uints(int(k))
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	cs[0] = 1 << 61
+	var w binenc.Writer
+	w.Uvarint(k)
+	w.Uints(cs)
+	es.Sections[0] = append(w.Buf, r.Buf...)
+	bad := es.AppendEnvelope(nil)
+
+	if err := rs.ApplyFull("http://peer-a", "acme/users", snap.Version+1, bad); !errors.Is(err, binenc.ErrCorrupt) {
+		t.Fatalf("out-of-range counter: ApplyFull returned %v, want binenc.ErrCorrupt", err)
+	}
+	if got := rs.BaseVersions("http://peer-a")["acme/users"]; got != snap.Version {
+		t.Fatalf("held replica version %d after a rejected apply, want %d", got, snap.Version)
 	}
 }
 
