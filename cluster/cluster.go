@@ -1,9 +1,9 @@
 // Package cluster turns N knwd processes into one logical sketch
 // service. It is the scale-out layer the paper's mergeability makes
-// nearly free: a KNW envelope is a tiny lossless summary of a key
-// stream, so any node can ingest any slice of the keyspace and a union
-// of envelopes is exactly as accurate as a single sketch over the whole
-// stream.
+// nearly free: a KNW envelope is a tiny summary of a key stream, so
+// any node can ingest any slice of the keyspace and a union of
+// envelopes carries the same (ε, δ) guarantee as a single sketch over
+// the whole stream.
 //
 // The design is symmetric and coordinator-free:
 //
@@ -25,8 +25,9 @@
 //     POST /v1/ingest API, with per-peer buffered batches and
 //     retry/backoff. Plain /v1/ingest never re-forwards, so forwarding
 //     can never loop — and since every replica ingests the same
-//     uint64s, replication is byte-identical no matter which codec the
-//     client used.
+//     uint64s, replicas that drain at the same points hold
+//     byte-identical sketches no matter which codec the client used
+//     (DESIGN.md §18).
 //   - Reads gather. GET /v1/cluster/estimate scatter-gathers snapshot
 //     envelopes from every peer, opens them with knw.Open, unions them
 //     into the local contribution via knw.MergeInto, and reports the
@@ -75,10 +76,6 @@ type Config struct {
 	Replication int
 	// Vnodes is the number of ring points per member (default 64).
 	Vnodes int
-	// FlushKeys is the per-peer forward buffer threshold: a peer's
-	// pending batch is flushed once it holds this many keys (default
-	// 4096, matching the single-node ingest batch).
-	FlushKeys int
 	// Attempts is how many times a forward batch is tried before the
 	// peer is declared failed for the request (default 3).
 	Attempts int
@@ -125,9 +122,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Vnodes == 0 {
 		out.Vnodes = defaultVnodes
-	}
-	if out.FlushKeys == 0 {
-		out.FlushKeys = 4096
 	}
 	if out.Attempts == 0 {
 		out.Attempts = 3

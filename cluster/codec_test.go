@@ -22,15 +22,16 @@ import (
 // uint64s the binary frame carries, and routes per key with
 // deterministic flush boundaries, so the store-call sequence each
 // replica sees is a function of the key stream alone, regardless of
-// which codec delivered it. Background epoch drains are disabled so a
-// mid-ingest drain can never hold slot 0 busy and push a batch into
-// another delta slot — byte-identity needs the deterministic regime
-// (estimates are exact under any interleaving either way).
+// which codec delivered it. Background epoch drains are disabled so
+// every replica drains only at the final read: F0 bytes follow the
+// order keys reach the sketch, and a mid-ingest drain could change
+// which batches wait in a slot buffer and which are applied directly,
+// so byte-identity needs the deterministic regime.
 func TestClusterCodecsReplicateIdentically(t *testing.T) {
 	const (
 		name  = "codec/t"
 		total = 2000
-		step  = 400 // below the service and forwarder batch floors
+		step  = 400 // under store.BatchKeys: one store call per request
 	)
 	var want []byte // node 0 of the newline cluster sets the reference
 

@@ -12,13 +12,15 @@ import (
 	"repro/internal/frame"
 	"repro/internal/httpx"
 	"repro/internal/trace"
+	"repro/store"
 )
 
 // session is one cluster-ingest request's routing state for a single
 // target store: locally owned keys batched for the node's own store,
 // plus one pending buffer per peer, flushed to the peer's single-node
-// ingest API whenever it fills and once more when the request body is
-// exhausted.
+// ingest API whenever it reaches store.BatchKeys (so a forwarded frame
+// fits one empty delta slot on the receiver) and once more when the
+// request body is exhausted.
 //
 // Keys travel pre-hashed. Whatever codec the client used, the router
 // hashes each key through the local store's pinned hash
@@ -102,18 +104,17 @@ func (s *session) routeHashed(keys []uint64) {
 // ring position sorts by high bits, so the avalanche re-spread is what
 // keeps placement uniform.
 func (s *session) routeOne(h uint64) {
-	rt := s.rt
 	s.owners, s.scratch = s.v.owners(mix64(h), s.owners, s.scratch)
 	for _, m := range s.owners {
 		if m == s.v.self {
 			s.localBuf = append(s.localBuf, h)
-			if len(s.localBuf) >= rt.cfg.FlushKeys {
+			if len(s.localBuf) >= store.BatchKeys {
 				s.flushLocal()
 			}
 			continue
 		}
 		s.pending[m] = append(s.pending[m], h)
-		if len(s.pending[m]) >= rt.cfg.FlushKeys {
+		if len(s.pending[m]) >= store.BatchKeys {
 			s.flushPeer(m)
 		}
 	}

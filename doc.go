@@ -31,11 +31,12 @@
 // UpdateBatch on the turnstile types) ingests keys in bulk with
 // per-call overhead amortized, producing state byte-identical to
 // sequential Add. A sketch is not safe for concurrent use. Because
-// same-seed sketches merge exactly (per-counter max for F0, linear sum
-// for L0), concurrent writers need no shared state: each writer fills
-// its own sketch built with the same options and seed, and Merge folds
-// them at read time into one sketch of the union stream, with the same
-// (ε, δ) guarantee as a single sketch that saw it all:
+// same-seed sketches merge (per-counter max for F0, linear sum for
+// L0), concurrent writers need no shared state: each writer fills its
+// own sketch built with the same options and seed, and Merge folds
+// them at read time into one sketch of the union stream with the same
+// (ε, δ) guarantee. A merged L0 equals the sketch that saw it all; a
+// merged F0 is a valid sketch of the union, not a byte copy of it:
 //
 //	a := knw.NewF0(knw.WithSeed(1)) // writer 1's sketch
 //	b := knw.NewF0(knw.WithSeed(1)) // writer 2's: same options and seed
@@ -44,9 +45,10 @@
 //	// ... once both writers are done:
 //	a.Merge(b) // a now summarizes keysA ∪ keysB
 //
-// The store package does this for long-running services: one private
-// delta sketch per concurrent writer, merged into the store's sketch
-// by a background drain and before every read (examples/pipeline).
+// The store package serves long-running services without merging:
+// each concurrent writer buffers hashed keys in a private delta slot,
+// and a background drain (and every read) feeds them to the store's
+// one sketch with AddBatch (examples/pipeline).
 // MarshalBinary / UnmarshalBinary checkpoint any sketch in a versioned
 // wire format.
 //
@@ -69,8 +71,8 @@
 //
 // # Set algebra across sketches
 //
-// Because same-seed sketches merge exactly, a merged clone is an
-// honest sketch of the union stream — and inclusion–exclusion derives
+// Because same-seed sketches merge, a merged clone is an honest
+// sketch of the union stream — and inclusion–exclusion derives
 // the rest. Union, Intersection, Jaccard, Difference, and NewSetStats
 // (setalgebra.go) answer set questions across 2–8 sketches without
 // touching the originals; Hamming merges a sign-negated clone (L0

@@ -4,10 +4,11 @@
 // cycle through the self-describing envelope — the full write path a
 // streaming analytics service would run.
 //
-// The store hands every concurrent writer a private delta sketch (a
-// plain F0 with the store's seed) and merges them into the store's
-// sketch in the background and before every read, so writers never
-// share a lock and every estimate includes every completed write.
+// The store hands every concurrent writer a private delta slot, a
+// bounded buffer of hashed keys, and feeds the buffered keys to the
+// store's sketch in the background and before every read, so writers
+// never share a lock and every estimate includes every completed
+// write.
 //
 // The stream is split into two halves. Half one is ingested, the store
 // is checkpointed with Snapshot, the envelope is restored into a fresh
@@ -92,9 +93,8 @@ func runHalf(st *store.Store, lo, hi int) {
 		defer close(done)
 		wg.Wait()
 	}()
-	// Periodic reads while writers run: Estimate first merges the
-	// writers' pending delta sketches, so it never misses a completed
-	// batch.
+	// Periodic reads while writers run: Estimate first drains the
+	// writers' buffered keys, so it never misses a completed batch.
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()
 	for {

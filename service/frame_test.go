@@ -76,12 +76,12 @@ func TestIngestFrameEndToEnd(t *testing.T) {
 // with byte-identical sketch snapshots, because the frame's
 // client-side hash is exactly the hash the server would have applied.
 //
-// The stream is sent as 500-key requests (below batchMin) so all three
-// codecs perform the identical sequence of store ingest calls, and the
-// background epoch loop is disabled so a mid-ingest drain can never
-// hold slot 0 busy and push a batch into another delta slot: sketch
-// state is exact under any interleaving, but its byte encoding depends
-// on how keys were split across delta slots, so byte-level comparison
+// The stream is sent as 500-key requests, under store.BatchKeys, so all
+// three codecs perform the identical sequence of store ingest calls,
+// and the background epoch loop is disabled so the only drain is the
+// final read barrier: F0 bytes follow the order keys reach the sketch,
+// and a mid-ingest drain would change which batches wait in a slot
+// buffer and which are applied directly, so byte-level comparison
 // requires the fully deterministic regime.
 func TestIngestCodecsSnapshotIdentical(t *testing.T) {
 	const (

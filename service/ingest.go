@@ -18,7 +18,8 @@ import (
 // Streaming ingest: POST /v1/ingest bodies are consumed incrementally
 // — a pooled fixed-size read buffer scanned for newline-delimited keys
 // (or a json.Decoder loop for JSON bodies), flushed to the store in
-// batches of ingestBatchKeys — instead of buffering the whole body.
+// batches of store.BatchKeys, so each batch fits one empty delta slot
+// — instead of buffering the whole body.
 // A single connection can therefore push an arbitrarily long key
 // stream at batched-AddBatch speed with O(batch) memory, and the JSON
 // form accepts a *sequence* of {"store","keys"} documents (NDJSON or
@@ -32,10 +33,6 @@ import (
 // idempotent for distinct counting — and the error response reports
 // how many keys were ingested before the failure.
 const (
-	// ingestBatchKeys is the pooled key-buffer capacity (the initial
-	// flush granularity; the live flush size adapts around it — see
-	// adaptive.go).
-	ingestBatchKeys = 4096
 	// ingestChunkBytes is the pooled read-buffer size.
 	ingestChunkBytes = 64 << 10
 	// maxKeyBytes caps one newline-delimited key (shared with the
@@ -52,7 +49,7 @@ type ingestScanner struct {
 var ingestScanners = sync.Pool{New: func() any {
 	return &ingestScanner{
 		buf:  make([]byte, ingestChunkBytes),
-		keys: make([]string, 0, ingestBatchKeys),
+		keys: make([]string, 0, store.BatchKeys),
 	}
 }}
 
@@ -61,10 +58,6 @@ func (sc *ingestScanner) release() {
 		// A huge key grew the buffer; don't let one outlier request
 		// pin megabytes in the pool forever.
 		sc.buf = make([]byte, ingestChunkBytes)
-	}
-	if cap(sc.keys) > 4*ingestBatchKeys {
-		// Same for batches the adaptive sizer grew toward batchMax.
-		sc.keys = make([]string, 0, ingestBatchKeys)
 	}
 	clear(sc.keys) // drop string references so flushed keys can be collected
 	sc.keys = sc.keys[:0]
@@ -109,9 +102,7 @@ func (s *Server) ingestLines(w http.ResponseWriter, r *http.Request, name string
 		if err := s.st.Ingest(name, sc.keys); err != nil {
 			return err
 		}
-		d := time.Since(t0)
-		ingestDur += d
-		s.batch.observe(len(sc.keys), d)
+		ingestDur += time.Since(t0)
 		total += len(sc.keys)
 		s.met.ingestKeys.Add(uint64(len(sc.keys)))
 		clear(sc.keys)
@@ -141,7 +132,7 @@ func (s *Server) ingestLines(w http.ResponseWriter, r *http.Request, name string
 			}
 			if key := trimCR(data[:nl]); len(key) > 0 {
 				sc.keys = append(sc.keys, string(key))
-				if len(sc.keys) >= s.batch.get() {
+				if len(sc.keys) == store.BatchKeys {
 					if ferr := flush(); ferr != nil {
 						s.failIngest(w, storeStatus(ferr), ferr, total)
 						return
@@ -183,9 +174,9 @@ func (s *Server) ingestLines(w http.ResponseWriter, r *http.Request, name string
 }
 
 // ingestJSON consumes a stream of {"store","keys"} documents (a single
-// object, NDJSON, or concatenated JSON), routing each document's batch
-// to its own store. Documents without a store name fall back to the
-// ?store= query parameter.
+// object, NDJSON, or concatenated JSON), routing each document's keys
+// to its own store in batches of store.BatchKeys. Documents without a
+// store name fall back to the ?store= query parameter.
 func (s *Server) ingestJSON(w http.ResponseWriter, r *http.Request, name string) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	// Count consumed body bytes on every exit path, error or not, so
@@ -209,14 +200,25 @@ func (s *Server) ingestJSON(w http.ResponseWriter, r *http.Request, name string)
 		if req.Store != "" {
 			target = req.Store
 		}
-		t0 := time.Now()
-		if err := s.st.Ingest(target, req.Keys); err != nil {
-			s.failIngest(w, storeStatus(err), err, total)
-			return
+		// Split at store.BatchKeys like the other codecs, so the store
+		// sees the same calls whichever codec carried the keys. An empty
+		// document still makes one call, which creates its store.
+		keys := req.Keys
+		for {
+			batch := keys[:min(len(keys), store.BatchKeys)]
+			keys = keys[len(batch):]
+			t0 := time.Now()
+			if err := s.st.Ingest(target, batch); err != nil {
+				s.failIngest(w, storeStatus(err), err, total)
+				return
+			}
+			ingestDur += time.Since(t0)
+			total += len(batch)
+			s.met.ingestKeys.Add(uint64(len(batch)))
+			if len(keys) == 0 {
+				break
+			}
 		}
-		ingestDur += time.Since(t0)
-		total += len(req.Keys)
-		s.met.ingestKeys.Add(uint64(len(req.Keys)))
 		docs++
 		last = target
 	}

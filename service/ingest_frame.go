@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/trace"
+	"repro/store"
 )
 
 // Binary-frame ingest: Content-Type application/x-knw-frame bodies
@@ -23,34 +24,18 @@ import (
 // buffer and the flush batch.
 type frameScanner struct {
 	buf  []byte
-	keys []uint64
+	keys [store.BatchKeys]uint64
 }
 
 var frameScanners = sync.Pool{New: func() any {
-	return &frameScanner{
-		buf:  make([]byte, ingestChunkBytes),
-		keys: make([]uint64, batchStart),
-	}
+	return &frameScanner{buf: make([]byte, ingestChunkBytes)}
 }}
 
 func (fs *frameScanner) release() {
 	if len(fs.buf) > 4*ingestChunkBytes {
 		fs.buf = make([]byte, ingestChunkBytes)
 	}
-	if cap(fs.keys) > 4*batchStart {
-		// The adaptive sizer can grow batches to batchMax; don't let
-		// every pooled scanner pin a max-size key buffer forever.
-		fs.keys = make([]uint64, batchStart)
-	}
 	frameScanners.Put(fs)
-}
-
-// batch returns a key buffer of length n.
-func (fs *frameScanner) batch(n int) []uint64 {
-	if cap(fs.keys) < n {
-		fs.keys = make([]uint64, n)
-	}
-	return fs.keys[:n]
 }
 
 // countingReader feeds the ingest byte counter on every read, so the
@@ -133,19 +118,19 @@ func (s *Server) ingestFrame(w http.ResponseWriter, r *http.Request, name string
 	s.reply(w, http.StatusOK, map[string]any{"store": last, "ingested": total, "batches": docs})
 }
 
-// ingestFrameDoc drains one doc's keys into target in adaptive-size
-// batches. Each batch is filled completely before it is ingested (Keys
-// returns whatever the scan buffer holds, which tracks network read
-// boundaries): full batches keep the per-call overhead amortized, and
-// they make the store's ingest call sequence a function of the frame
-// alone — which is what lets replicas fed the same frames converge on
-// byte-identical sketch state (DESIGN.md §18 has the exact
+// ingestFrameDoc drains one doc's keys into target in batches of
+// store.BatchKeys. Each batch is filled completely before it is
+// ingested (Keys returns whatever the scan buffer holds, which tracks
+// network read boundaries): full batches keep the per-call overhead
+// amortized, and they make the store's ingest call sequence a function
+// of the frame alone — which is what lets replicas fed the same frames
+// converge on byte-identical sketch state (DESIGN.md §18 has the exact
 // conditions). A zero-count doc still creates its store.
 func (s *Server) ingestFrameDoc(fr *frame.Reader, fs *frameScanner, target string) (int, time.Duration, error) {
 	ingested := 0
 	var dur time.Duration
 	for {
-		batch := fs.batch(s.batch.get())
+		batch := fs.keys[:]
 		fill := 0
 		var rerr error
 		for fill < len(batch) {
@@ -164,9 +149,7 @@ func (s *Server) ingestFrameDoc(fr *frame.Reader, fs *frameScanner, target strin
 			if serr := s.st.IngestHashed(target, batch[:fill]); serr != nil {
 				return ingested, dur, &storeError{err: serr}
 			}
-			d := time.Since(t0)
-			dur += d
-			s.batch.observe(fill, d)
+			dur += time.Since(t0)
 			ingested += fill
 			s.met.ingestKeys.Add(uint64(fill))
 		}

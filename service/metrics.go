@@ -25,9 +25,11 @@ type serviceMetrics struct {
 	// stages is the daemon-wide knwd_stage_seconds pipeline histogram:
 	// the service observes the request-facing stages (body_scan,
 	// store_ingest), while the store and cluster layers observe theirs
-	// (slot_claim, hash, append, epoch_merge, peer_forward, gossip_*)
-	// into the same family. Handles for the hot stages are cached so
-	// the ingest path never takes the vec's series-lookup lock.
+	// (slot_claim; hash and append, each a delta-slot buffer write or a
+	// direct sketch apply; epoch_merge, a drain applying buffered keys;
+	// peer_forward, gossip_*) into the same family. Handles for the hot
+	// stages are cached so the ingest path never takes the vec's
+	// series-lookup lock.
 	stages           *metrics.HistogramVec // stage
 	stageBodyScan    *metrics.Histogram
 	stageStoreIngest *metrics.Histogram
@@ -51,8 +53,9 @@ func newServiceMetrics(reg *metrics.Registry) serviceMetrics {
 			"Envelope bytes served by GET /v1/snapshot."),
 		stages: reg.NewHistogramVec("knwd_stage_seconds",
 			"Server-side pipeline stage latency, labeled by stage (body_scan, "+
-				"hash, append, slot_claim, epoch_merge, store_ingest, peer_forward, "+
-				"gossip_pull, gossip_apply, set_algebra, series).", stageBuckets, "stage"),
+				"hash and append: a delta-slot buffer write or a direct sketch apply, "+
+				"slot_claim, epoch_merge: a drain applying buffered keys, store_ingest, "+
+				"peer_forward, gossip_pull, gossip_apply, set_algebra, series).", stageBuckets, "stage"),
 	}
 	m.stageBodyScan = m.stages.With("body_scan")
 	m.stageStoreIngest = m.stages.With("store_ingest")

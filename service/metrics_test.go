@@ -174,7 +174,7 @@ func TestStreamingIngestSplitReads(t *testing.T) {
 func TestStreamingIngestManyBatches(t *testing.T) {
 	srv, hs := newTestServer(t, testConfig(""))
 	var payload bytes.Buffer
-	const n = 3*ingestBatchKeys + 17
+	const n = 3*store.BatchKeys + 17
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&payload, "stream-key-%07d\n", i)
 	}

@@ -149,7 +149,6 @@ type Server struct {
 	log    *slog.Logger
 	tracer *trace.Tracer
 	router *cluster.Router // non-nil iff Config.Cluster was given
-	batch  *batchSizer     // adaptive ingest flush batch size
 	bufs   sync.Pool       // pooled request-body scratch (merge, restore)
 	snaps  sync.Pool       // pooled *[]byte envelope scratch for snapshot responses
 }
@@ -186,12 +185,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{cfg: cfg, st: st, reg: cfg.Metrics, met: met, log: cfg.Log,
-		tracer: trace.New(cfg.Trace), batch: newBatchSizer()}
+		tracer: trace.New(cfg.Trace)}
 	s.bufs.New = func() any { return new(bytes.Buffer) }
 	s.snaps.New = func() any { return new([]byte) }
-	cfg.Metrics.NewGaugeFunc("knwd_ingest_batch_size",
-		"Current adaptive ingest flush batch size (keys per store flush).",
-		func() float64 { return float64(s.batch.get()) })
 	if cfg.CheckpointDir != "" {
 		n, err := st.LoadCheckpoint(cfg.CheckpointDir)
 		if err != nil {

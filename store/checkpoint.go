@@ -589,11 +589,9 @@ func (s *Store) installEntry(ent *ckptEntry) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Same contract as Restore: deltas pending at install time belong
-	// to the pre-restore state, not the checkpointed one — and
-	// persistent slots must not re-merge it later.
+	// Same contract as Restore: keys pending at install time belong to
+	// the pre-restore state, not the checkpointed one.
 	s.drainLocked(e)
-	s.discardSlotsLocked(e)
 	e.total = ent.total
 	e.version.Add(1)
 	if ent.buckets == nil || e.window == nil {

@@ -5,35 +5,44 @@ import (
 	"sync/atomic"
 	"time"
 
-	knw "repro"
+	"repro/internal/metrics"
 )
 
 // Epoch-based lock-free ingest.
 //
-// The KNW sketches merge exactly (max for F0 counters, linear sum for
-// L0), so ingestion needs no shared state: each writer accumulates
-// into a private delta sketch and publishes by merge, and the merged
-// result is byte-identical to a single sketch that saw the union
-// stream — the (ε, δ) bound is untouched. This is the store's only
-// write-concurrency mechanism: every sketch in it is a plain F0 or L0.
-// Each entry has a small fixed array of delta slots (GOMAXPROCS+1, so
-// a writer always finds a free slot even while the drainer holds one):
+// Each entry holds exactly the sketches it reports from: the all-time
+// total and, on windowed stores, the ring's buckets. Every key reaches
+// them through AddBatch, so the total is one sketch fed the arrival
+// stream — the paper's algorithm with its (ε, δ) bound. Ingest is
+// lock-free through a small fixed array of delta slots per entry
+// (GOMAXPROCS+1, so a writer always finds a free slot even while the
+// drainer holds one), each a bounded buffer of hashed keys:
 //
 //   - Ingest/IngestHashed claim the lowest free slot with one CAS
-//     (free → busy), append the batch to the slot's private sketch,
-//     bump the entry's pending count, release the slot, and mark the
-//     entry dirty. No mutex, no contention except slot-claim CAS
-//     traffic. Slot sketches are built on first claim, so an entry
-//     holds one per writer that actually overlapped another (or a
-//     drain), not one per slot: a single writer only ever uses slot 0.
+//     (free → busy). When the batch fits the slot's free space
+//     (BatchKeys in all), the writer hashes or copies it into the
+//     buffer, bumps the entry's pending count, releases the slot, and
+//     marks the entry dirty — no mutex. Buffers are taken from a
+//     store-wide pool on first append and returned by the drain, so an
+//     idle entry holds none.
+//   - A batch that does not fit is applied by its writer: it releases
+//     the slot, takes the entry mutex, rotates the window to the store
+//     clock, and feeds its own batch to the total and the current
+//     bucket. Buffered keys stay put for the drain, so the request
+//     path does at most one batch of sketch work, and that batch
+//     reaches the total before the keys buffered ahead of it.
 //   - A background epoch loop (Config.EpochInterval) walks the dirty
 //     list and drains each entry under its mutex: every slot is
-//     claimed, merged into the canonical total + current window
-//     bucket, reset, and released.
+//     claimed, its keys are fed to the total and the current window
+//     bucket, its buffer goes back to the pool, and it is released.
 //   - Reads (Estimate, Snapshot, WindowSnapshot, checkpoint capture)
 //     drain on demand before reading, so a reader always observes its
 //     own completed writes — read-your-writes within one epoch — and
 //     snapshots/checkpoints never miss pending keys.
+//
+// Lock order: a writer never waits for the entry mutex while it holds
+// a slot; the drainer holds the mutex and spins on busy slots. Each
+// side therefore waits only on work the other finishes unconditionally.
 //
 // Ordering argument (why no key is ever stranded): a writer's order is
 // slot-write → pending.Add → slot-release → markDirty; the drainer
@@ -42,56 +51,33 @@ import (
 // slot and (because pending.Add preceded markDirty) sees the keys. If
 // it lands after, the entry simply re-queues for the next epoch. The
 // slot CAS pair (release in the writer, claim in the drainer) carries
-// the happens-before edge that makes the slot sketch's contents
-// visible to the drainer.
+// the happens-before edge that makes the buffered keys visible to the
+// drainer.
 //
 // Window-bucket attribution happens at drain time: the ring first
-// rotates to the entry's last write stamp, then the deltas merge into
-// the bucket current at that stamp. A key's attribution can therefore
-// skew by at most the span between its write and the entry's last
-// write before the next drain — bounded by one epoch interval (or one
-// read barrier, whichever comes first), far below any sane bucket
-// width.
+// rotates to the entry's last write stamp, then the buffered keys go
+// to the bucket current at that stamp. A key's attribution can
+// therefore skew by at most the span between its write and the
+// entry's last write before the next drain — bounded by one epoch
+// interval (or one read barrier, whichever comes first), far below any
+// sane bucket width.
 //
-// Drain policy (persistent vs reset slots): the F0 kinds pay a steep
-// "early life" per sketch — until the rough estimator lifts the
-// subsampling offset, every key costs a packed-counter read — and a
-// slot that is reset after each drain replays that cost every epoch,
-// forever. F0 merges are max/union on every component (counters,
-// rough estimator, small-F0 set), so re-merging an un-reset slot is
-// idempotent: on unwindowed non-turnstile stores the slots therefore
-// persist across drains, mature like any long-lived sketch, and reach
-// the raw AddBatch floor. Final counter values are path-independent
-// under offset rebasing (a key's contribution at final offset b is
-// max(lvl−b, dropped) no matter when b advanced), so the merged total
-// is byte-identical to single-sketch ingest either way. Turnstile (L0)
-// kinds merge by linear sum — re-merge double-counts — and window
-// buckets need true per-epoch deltas, so those stores reset each slot
-// after draining it. State-replacing operations (Restore, checkpoint
-// install) discard persistent slots outright: their history is merged
-// into the outgoing total, and must not resurface in the new one.
+// Byte identity: F0 envelope bytes depend on the order keys arrive in
+// (two orders of one key set give different bytes and equal
+// estimates), so the total is byte-identical to a single sketch fed
+// the same batches in the order they reached it. For a lone writer in
+// the deterministic regime (no epoch loop, fake clock) that is its own
+// batch order whenever reads drain before a buffer would overflow, or
+// whenever every batch overflows and goes direct.
+
+// BatchKeys bounds one delta slot's key buffer (4096 keys, 32 KiB). It
+// is also the batch size the service's ingest codecs and the cluster
+// forwarder flush at, so one flushed batch fits one empty slot.
+const BatchKeys = 4096
 
 // defaultEpochInterval is the background drain cadence when
 // Config.EpochInterval is zero and the store uses the real clock.
 const defaultEpochInterval = 10 * time.Millisecond
-
-// Adaptive flush floor: draining an entry costs a fixed O(K·copies)
-// sketch merge per slot no matter how few keys are pending, so epoch
-// ticks skip entries whose backlog is too small to amortize it. The
-// floor self-tunes from observed drain latency — expensive sketches
-// (small ε, many copies) push it up, cheap ones pull it down — between
-// a minimum that keeps small configs fresh and a maximum that bounds
-// how much an op-visible gauge can lag. Entries older than
-// maxEpochAge drain regardless, so a trickle-rate store is never more
-// than a second stale; read barriers, Flush, and Close ignore the
-// floor entirely.
-const (
-	flushFloorMin    = 4 << 10
-	flushFloorMax    = 512 << 10
-	flushBudget      = 2 * time.Millisecond
-	maxEpochAge      = time.Second
-	flushFloorShrink = flushBudget / 8
-)
 
 // Slot claim states.
 const (
@@ -99,20 +85,21 @@ const (
 	slotBusy
 )
 
-// deltaSlot is one private ingest accumulator. The state word is the
-// only cross-goroutine field; everything else is owned by whoever
-// holds the slot. The pad keeps neighboring slots off one cache line
-// so claim CAS traffic on slot i does not bounce slot i+1.
+// keyBuf is one pooled slot buffer.
+type keyBuf = [BatchKeys]uint64
+
+// deltaSlot is one private ingest buffer. The state word is the only
+// cross-goroutine field; keys is owned by whoever holds the slot. The
+// pad keeps neighboring slots off one cache line so claim CAS traffic
+// on slot i does not bounce slot i+1.
 type deltaSlot struct {
-	state   atomic.Int32
-	sk      knw.Estimator      // lazily built, store-compatible delta
-	keyed   *knw.Keyed[string] // typed front-end over sk
-	pending int                // keys in sk not yet drained
-	_       [96]byte
+	state atomic.Int32
+	keys  []uint64 // hashed keys not yet drained; nil when empty
+	_     [96]byte
 }
 
 // claim acquires the lowest free slot, so higher slots (and their
-// sketches) come into use only while lower ones are busy. A busy slot
+// buffers) come into use only while lower ones are busy. A busy slot
 // is skipped on a plain load, keeping the CAS off contended lines, and
 // the claimer yields once per full sweep so a spin under
 // oversubscription cannot starve the slot holders.
@@ -136,6 +123,108 @@ func (sl *deltaSlot) release() { sl.state.Store(slotFree) }
 // writers never wait on the drainer.
 func slotsPerEntry() int { return runtime.GOMAXPROCS(0) + 1 }
 
+// getBuf returns an empty pooled slot buffer.
+func (s *Store) getBuf() []uint64 {
+	if b, ok := s.bufs.Get().(*keyBuf); ok {
+		return b[:0]
+	}
+	return new(keyBuf)[:0]
+}
+
+// putBuf hands a slot buffer back to the pool.
+func (s *Store) putBuf(keys []uint64) { s.bufs.Put((*keyBuf)(keys[:BatchKeys])) }
+
+// appendKeys appends a batch to dst: strs hashed through the store's
+// pinned hasher, or hashed copied as is.
+func (s *Store) appendKeys(dst []uint64, strs []string, hashed []uint64) []uint64 {
+	for _, k := range strs {
+		dst = append(dst, s.hasher.Hash(k))
+	}
+	return append(dst, hashed...)
+}
+
+// applyLocked feeds keys to the entry's total and, on windowed stores,
+// the current bucket. Callers hold e.mu and have rotated the ring.
+func (e *entry) applyLocked(keys []uint64) {
+	e.total.AddBatch(keys)
+	if e.window != nil {
+		e.window.current().AddBatch(keys)
+	}
+}
+
+// ingest is the shared body of Ingest and IngestHashed: exactly one of
+// strs and hashed is used. stage times the hash or append work.
+func (s *Store) ingest(name string, strs []string, hashed []uint64, stage *metrics.Histogram) error {
+	e, err := s.lookup(name, true)
+	if err != nil {
+		return err
+	}
+	n := len(strs) + len(hashed)
+	if n == 0 {
+		return nil
+	}
+	var stamp int64
+	if e.window != nil {
+		stamp = s.now().UnixNano()
+		e.writeStamp.Store(stamp)
+	}
+	// Stage attribution costs three clock reads per batch — amortized
+	// over thousands of keys — and only when a stage vec is configured,
+	// so library users and microbenchmarks pay nothing.
+	var t0, t1 time.Time
+	timed := s.met.stageClaim != nil
+	if timed {
+		t0 = time.Now()
+	}
+	sl := e.claim()
+	if timed {
+		t1 = time.Now()
+	}
+	if len(sl.keys)+n <= BatchKeys {
+		if sl.keys == nil {
+			sl.keys = s.getBuf()
+		}
+		sl.keys = s.appendKeys(sl.keys, strs, hashed)
+		e.pending.Add(int64(n))
+		s.pendingKeys.Add(int64(n))
+		sl.release()
+		s.markDirty(e)
+	} else {
+		sl.release()
+		s.ingestDirect(e, strs, hashed, stamp)
+	}
+	if timed {
+		t2 := time.Now()
+		s.met.stageClaim.Observe(t1.Sub(t0).Seconds())
+		stage.Observe(t2.Sub(t1).Seconds())
+	}
+	s.met.ingestedKeys.Add(uint64(n))
+	return nil
+}
+
+// ingestDirect applies a batch that did not fit its slot straight to
+// the entry's sketches. Only this batch is applied: keys already
+// buffered wait for the drain.
+func (s *Store) ingestDirect(e *entry, strs []string, hashed []uint64, stamp int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.window != nil {
+		s.met.rotations.Add(uint64(e.window.rotate(time.Unix(0, stamp))))
+	}
+	if strs == nil {
+		e.applyLocked(hashed)
+	} else {
+		buf := s.getBuf()
+		for len(strs) > 0 {
+			chunk := strs[:min(len(strs), BatchKeys)]
+			strs = strs[len(chunk):]
+			e.applyLocked(s.appendKeys(buf[:0], chunk, nil))
+		}
+		s.putBuf(buf)
+	}
+	e.version.Add(1)
+}
+
 // markDirty queues e for the next epoch drain. Only the 0→dirty
 // transition touches the shared list, so steady-state ingest pays one
 // atomic swap here.
@@ -151,9 +240,9 @@ func (s *Store) markDirty(e *entry) {
 	s.dirtyMu.Unlock()
 }
 
-// drainLocked merges every pending delta slot into the entry's
-// canonical total and current window bucket. Callers hold e.mu. It
-// returns the number of keys drained.
+// drainLocked feeds every slot's buffered keys to the entry's total
+// and current window bucket and returns the buffers to the pool.
+// Callers hold e.mu. It returns the number of keys drained.
 func (s *Store) drainLocked(e *entry) int {
 	if e.pending.Load() == 0 {
 		return 0
@@ -175,24 +264,14 @@ func (s *Store) drainLocked(e *entry) int {
 		for !sl.state.CompareAndSwap(slotFree, slotBusy) {
 			runtime.Gosched()
 		}
-		if sl.pending > 0 {
-			if err := knw.MergeInto(e.total, sl.sk); err != nil {
-				sl.release()
-				// Slots are built from the store's pinned options; a
-				// mismatch is a program bug, not foreign input.
-				panic("store: delta slot diverged from entry: " + err.Error())
-			}
-			if e.window != nil {
-				if err := knw.MergeInto(e.window.current(), sl.sk); err != nil {
-					sl.release()
-					panic("store: delta slot diverged from window: " + err.Error())
-				}
-			}
-			drained += sl.pending
-			sl.pending = 0
-			if !s.persistSlots {
-				resetSketch(&sl.sk, &sl.keyed)
-			}
+		// Holding the slot while its keys are applied sends a writer
+		// that arrives meanwhile to the next free slot, where its batch
+		// is buffered, rather than to the direct path.
+		if keys := sl.keys; keys != nil {
+			e.applyLocked(keys)
+			drained += len(keys)
+			s.putBuf(keys)
+			sl.keys = nil
 		}
 		sl.release()
 	}
@@ -201,68 +280,18 @@ func (s *Store) drainLocked(e *entry) int {
 		s.pendingKeys.Add(int64(-drained))
 		e.version.Add(1) // the epoch flush is the versioning quantum
 	}
-	e.lastDrain.Store(time.Now().UnixNano())
 	return drained
 }
 
-// discardSlotsLocked empties every delta slot without merging, for
-// state-replacing operations (Restore, checkpoint install) that have
-// already drained: persistent slots hold the entry's full ingest
-// history, which must not be re-merged into the replacement state on a
-// later drain. Keys a racing writer parked after the caller's drain
-// are dropped with the old state — the write was concurrent with the
-// replacement, so either order is correct. Callers hold e.mu.
-func (s *Store) discardSlotsLocked(e *entry) {
-	for i := range e.slots {
-		sl := &e.slots[i]
-		for !sl.state.CompareAndSwap(slotFree, slotBusy) {
-			runtime.Gosched()
-		}
-		if sl.pending > 0 {
-			e.pending.Add(int64(-sl.pending))
-			s.pendingKeys.Add(int64(-sl.pending))
-			sl.pending = 0
-		}
-		resetSketch(&sl.sk, &sl.keyed)
-		sl.release()
-	}
-}
-
-// resetSketch empties a slot sketch for reuse, preserving its hash
-// draws (Reset) so the slot stays mergeable; kinds without Reset are
-// rebuilt lazily on the next claim.
-func resetSketch(sk *knw.Estimator, keyed **knw.Keyed[string]) {
-	if r, ok := (*sk).(interface{ Reset() }); ok {
-		r.Reset()
-		return
-	}
-	*sk = nil
-	*keyed = nil
-}
-
-// Flush drains every dirty entry now — the barrier Close and tests
-// use. Safe to call concurrently with ingest and reads.
-func (s *Store) Flush() { s.flush(true) }
-
-// flush drains the dirty list; without force it is the epoch-tick
-// body and applies the adaptive floor — entries with too small a
-// backlog (and a recent enough last drain) stay queued for a later
-// tick instead of paying a full sketch merge now.
-func (s *Store) flush(force bool) {
+// Flush drains every dirty entry now — the epoch tick's body, and the
+// barrier Close and tests use. Safe to call concurrently with ingest
+// and reads.
+func (s *Store) Flush() {
 	s.dirtyMu.Lock()
 	work := s.dirty
 	s.dirty = nil
 	s.dirtyMu.Unlock()
-	var deferred []*entry
-	floor := s.flushFloor.Load()
 	for _, e := range work {
-		if !force && e.pending.Load() < floor &&
-			time.Since(time.Unix(0, e.lastDrain.Load())) < maxEpochAge {
-			// Still queued (e.queued stays true, so markDirty won't
-			// double-append); goes back on the list below.
-			deferred = append(deferred, e)
-			continue
-		}
 		// Clear queued before draining: a writer that marks after this
 		// re-queues the entry; one that marked before is drained here.
 		e.queued.Store(false)
@@ -271,36 +300,16 @@ func (s *Store) flush(force bool) {
 		n := s.drainLocked(e)
 		e.mu.Unlock()
 		if n > 0 {
-			d := time.Since(start)
-			s.met.flushSeconds.Observe(d.Seconds())
-			s.met.stageMerge.Observe(d.Seconds())
+			d := time.Since(start).Seconds()
+			s.met.flushSeconds.Observe(d)
+			s.met.stageMerge.Observe(d)
 			s.met.flushes.Inc()
-			s.adaptFloor(d)
 		}
 		if e.pending.Load() > 0 {
 			s.markDirty(e) // writer raced the drain; catch it next epoch
 		}
 	}
-	if len(deferred) > 0 {
-		s.dirtyMu.Lock()
-		s.dirty = append(s.dirty, deferred...)
-		s.dirtyMu.Unlock()
-	}
 	s.lastFlush.Store(time.Now().UnixNano())
-}
-
-// adaptFloor is the AIMD-ish floor controller: a drain that blew the
-// budget doubles the floor (batch more before the next fixed-cost
-// merge), a drain far under it halves the floor (freshness is cheap
-// here). Lost updates under concurrent drains just slow convergence.
-func (s *Store) adaptFloor(d time.Duration) {
-	floor := s.flushFloor.Load()
-	switch {
-	case d > flushBudget && floor < flushFloorMax:
-		s.flushFloor.CompareAndSwap(floor, min(2*floor, flushFloorMax))
-	case d < flushFloorShrink && floor > flushFloorMin:
-		s.flushFloor.CompareAndSwap(floor, max(floor/2, flushFloorMin))
-	}
 }
 
 // run is the background epoch loop.
@@ -311,7 +320,7 @@ func (s *Store) run(interval time.Duration) {
 	for {
 		select {
 		case <-t.C:
-			s.flush(false)
+			s.Flush()
 		case <-s.stop:
 			s.Flush()
 			return
@@ -320,8 +329,8 @@ func (s *Store) run(interval time.Duration) {
 }
 
 // Close stops the epoch loop (when one is running) after a final
-// flush. The store remains usable — ingest keeps accumulating deltas
-// and read barriers keep draining them — only the background cadence
+// flush. The store remains usable — ingest keeps buffering keys and
+// read barriers keep draining them — only the background cadence
 // stops. Close is idempotent.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {

@@ -12,12 +12,14 @@ import (
 )
 
 // The delta/epoch machinery (delta.go) is what makes Ingest lock-free:
-// writers append to private per-entry slots and the canonical sketches
-// only advance at flush time or behind a read barrier. These tests pin
-// the three promises that layer makes: reads always see their own
+// writers buffer hashed keys in private per-entry slots, and the
+// canonical sketches advance at flush time, behind a read barrier, or
+// when a batch too large for its slot is applied by its writer. These
+// tests pin the promises that layer makes: reads always see their own
 // completed writes, explicit Flush fully drains the backlog with
-// deterministic window attribution, and checkpoints taken mid-epoch
-// capture pending keys.
+// deterministic window attribution, checkpoints taken mid-epoch
+// capture pending keys, slot buffers stay bounded, and a lone writer's
+// sketches are exactly one sketch fed its batches.
 
 // TestReadYourWrites: an Estimate immediately after Ingest — no Flush,
 // no background loop (fake clock disables it) — must already include
@@ -46,40 +48,58 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 // TestFlushWindowAttribution drives a deterministic clock through
-// ingest→Flush cycles and checks drain-time bucket attribution: a
-// batch flushed while bucket i was current must expire with bucket i,
-// even though the canonical merge happened at Flush, not at write.
+// ingest→Flush cycles and checks bucket attribution: a batch flushed
+// while bucket i was current must expire with bucket i, whether it was
+// buffered and applied at Flush or, too large for its slot, applied by
+// its writer.
 func TestFlushWindowAttribution(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	cfg := testConfig()
-	cfg.Window = Window{Buckets: 3, Interval: time.Minute}
-	cfg.Now = func() time.Time { return now }
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		a, b int // batch sizes
+	}{
+		{"buffered", 2000, 1000},
+		{"direct", BatchKeys + 2000, BatchKeys + 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(1_700_000_000, 0)
+			cfg := testConfig()
+			cfg.Window = Window{Buckets: 3, Interval: time.Minute}
+			cfg.Now = func() time.Time { return now }
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPending := int64(tc.a)
+			if tc.a > BatchKeys {
+				wantPending = 0
+			}
+			// Batch A in bucket 0, flushed there; batch B one interval later.
+			if err := s.Ingest("t/m", keys("a", 0, tc.a)); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.PendingKeys(); got != wantPending {
+				t.Fatalf("PendingKeys after batch A = %d, want %d", got, wantPending)
+			}
+			s.Flush()
+			if got := s.PendingKeys(); got != 0 {
+				t.Fatalf("PendingKeys after Flush = %d, want 0", got)
+			}
+			now = now.Add(time.Minute)
+			if err := s.Ingest("t/m", keys("b", 0, tc.b)); err != nil {
+				t.Fatal(err)
+			}
+			s.Flush()
+			// Advance until batch A's bucket has fallen off the 3-bucket ring
+			// but batch B's has not: only B remains windowed, both all-time.
+			now = now.Add(2 * time.Minute)
+			est, err := s.Estimate("t/m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			within(t, "all-time after expiry", est.AllTime, float64(tc.a+tc.b), 0.25)
+			within(t, "window after expiry", est.Window, float64(tc.b), 0.25)
+		})
 	}
-	// Batch A in bucket 0, flushed there; batch B one interval later.
-	if err := s.Ingest("t/m", keys("a", 0, 2000)); err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	if got := s.PendingKeys(); got != 0 {
-		t.Fatalf("PendingKeys after Flush = %d, want 0", got)
-	}
-	now = now.Add(time.Minute)
-	if err := s.Ingest("t/m", keys("b", 0, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	// Advance until batch A's bucket has fallen off the 3-bucket ring
-	// but batch B's has not: only B remains windowed, both all-time.
-	now = now.Add(2 * time.Minute)
-	est, err := s.Estimate("t/m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	within(t, "all-time after expiry", est.AllTime, 3000, 0.25)
-	within(t, "window after expiry", est.Window, 1000, 0.25)
 }
 
 // TestCheckpointDuringEpoch: a checkpoint taken while keys are still
@@ -292,28 +312,34 @@ func TestSlotOverflowNeverBlocks(t *testing.T) {
 	within(t, "overflow estimate", est.AllTime, float64(writers*20), 0.25)
 }
 
-// builtSlots returns the sketches an entry's delta slots hold. Callers
-// run it with no writer or drain in flight.
-func builtSlots(t *testing.T, s *Store, name string) []knw.Estimator {
+// slotBuffers returns the key count of every delta slot of name's
+// entry that holds a buffer, by slot index. Callers run it with no
+// writer or drain in flight.
+func slotBuffers(t *testing.T, s *Store, name string) map[int]int {
 	t.Helper()
 	e, err := s.lookup(name, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []knw.Estimator
+	out := map[int]int{}
 	for i := range e.slots {
-		if sk := e.slots[i].sk; sk != nil {
-			out = append(out, sk)
+		if ks := e.slots[i].keys; ks != nil {
+			if cap(ks) != BatchKeys {
+				t.Errorf("slot %d buffer has capacity %d, want %d", i, cap(ks), BatchKeys)
+			}
+			out[i] = len(ks)
 		}
 	}
 	return out
 }
 
-// TestSlotSketchPerWriter: an entry builds a delta sketch only for the
-// slots its writers actually needed — at most one per concurrent
-// writer plus one — and each is a plain F0, even when GOMAXPROCS
-// allows many more slots. A lone writer never leaves slot 0.
-func TestSlotSketchPerWriter(t *testing.T) {
+// TestSlotBufferPerWriter: delta slots are bounded key buffers. No
+// slot ever holds more than BatchKeys keys — a batch that does not fit
+// is applied by its writer — an entry holds a buffer only in the slots
+// its writers actually needed, even when GOMAXPROCS allows many more,
+// and after a drain no slot holds a buffer at all. A lone writer never
+// leaves slot 0.
+func TestSlotBufferPerWriter(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	s, err := New(Config{Options: []knw.Option{knw.WithEpsilon(0.2), knw.WithSeed(1)}, EpochInterval: -1})
 	if err != nil {
@@ -324,26 +350,36 @@ func TestSlotSketchPerWriter(t *testing.T) {
 	}
 	check := func(writers int) {
 		t.Helper()
-		sks := builtSlots(t, s, "t/m")
-		if len(sks) > writers+1 {
-			t.Errorf("%d writer(s) built %d slot sketches, want at most %d", writers, len(sks), writers+1)
+		bufs := slotBuffers(t, s, "t/m")
+		if len(bufs) > writers {
+			t.Errorf("%d writer(s) left buffers in %d slots, want at most %d", writers, len(bufs), writers)
 		}
-		for _, sk := range sks {
-			if _, ok := sk.(*knw.F0); !ok {
-				t.Errorf("slot sketch is a %T, want *knw.F0", sk)
+		pending := 0
+		for i, n := range bufs {
+			if n > BatchKeys {
+				t.Errorf("slot %d holds %d keys, over BatchKeys", i, n)
 			}
+			pending += n
+		}
+		if got := s.PendingKeys(); got != int64(pending) {
+			t.Errorf("PendingKeys = %d, slots hold %d", got, pending)
+		}
+		if _, err := s.Estimate("t/m"); err != nil {
+			t.Fatal(err)
+		}
+		if bufs := slotBuffers(t, s, "t/m"); len(bufs) != 0 {
+			t.Errorf("slots %v still hold buffers after a drain", bufs)
 		}
 	}
 
+	// A lone writer fills slot 0 to 40 batches, then goes direct.
 	for b := 0; b < 64; b++ {
 		if err := s.Ingest("t/m", keys("solo", b*100, (b+1)*100)); err != nil {
 			t.Fatal(err)
 		}
-		if b%8 == 7 {
-			if _, err := s.Estimate("t/m"); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
+	if bufs := slotBuffers(t, s, "t/m"); len(bufs) != 1 || bufs[0] != 4000 {
+		t.Errorf("lone writer left slot buffers %v, want slot 0 with 4000 keys", bufs)
 	}
 	check(1)
 
@@ -354,8 +390,8 @@ func TestSlotSketchPerWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for b := 0; b < 32; b++ {
-				lo := 10_000 + (w*32+b)*50
-				if err := s.Ingest("t/m", keys("k", lo, lo+50)); err != nil {
+				lo := 10_000 + (w*32+b)*300
+				if err := s.Ingest("t/m", keys("k", lo, lo+300)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -368,5 +404,88 @@ func TestSlotSketchPerWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	within(t, "estimate after both phases", est.AllTime, 6400+writers*32*50, 0.25)
+	within(t, "estimate after both phases", est.AllTime, 6400+writers*32*300, 0.25)
+}
+
+// TestLoneWriterIdentity: in the deterministic regime (no epoch loop,
+// fake clock) every key reaches the entry's sketches through AddBatch,
+// so a lone writer's total marshals byte-identical to one sketch fed
+// the same batches in the same order — and on windowed stores so does
+// the current bucket. Both orders hold: batches over BatchKeys all go
+// direct, and batches that fit are drained by a read before the buffer
+// would overflow. Batches alternate Ingest and IngestHashed.
+func TestLoneWriterIdentity(t *testing.T) {
+	for _, kind := range []knw.Kind{knw.KindF0, knw.KindL0} {
+		for _, windowed := range []bool{false, true} {
+			for _, tc := range []struct {
+				name      string
+				size, per int // batch size; batches per read barrier
+			}{
+				{"direct", BatchKeys + 904, 0},
+				{"buffered", 1000, BatchKeys / 1000},
+			} {
+				t.Run(fmt.Sprintf("%s/windowed=%v/%s", kind, windowed, tc.name), func(t *testing.T) {
+					cfg := Config{
+						Kind:          kind,
+						Options:       []knw.Option{knw.WithEpsilon(0.2), knw.WithSeed(3)},
+						Now:           func() time.Time { return time.Unix(1_700_000_000, 0) },
+						EpochInterval: -1,
+					}
+					if windowed {
+						cfg.Window = Window{Buckets: 3, Interval: time.Minute}
+					}
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := s.newSketch()
+					for b := 0; b < 12; b++ {
+						batch := keys("k", b*tc.size, (b+1)*tc.size)
+						hashed := make([]uint64, len(batch))
+						for i, k := range batch {
+							hashed[i] = s.HashKey(k)
+						}
+						if b%2 == 0 {
+							err = s.Ingest("t/m", batch)
+						} else {
+							err = s.IngestHashed("t/m", hashed)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref.AddBatch(hashed)
+						if tc.per > 0 && (b+1)%tc.per == 0 {
+							if _, err := s.Estimate("t/m"); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					want, err := appendSketch(nil, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.Snapshot("t/m", nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Error("total differs from one sketch fed the same batches")
+					}
+					if !windowed {
+						return
+					}
+					e, _ := s.lookup("t/m", false)
+					e.mu.Lock()
+					bucket, err := appendSketch(nil, e.window.current())
+					e.mu.Unlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(bucket, want) {
+						t.Error("current bucket differs from one sketch fed the same batches")
+					}
+				})
+			}
+		}
+	}
 }

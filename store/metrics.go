@@ -18,15 +18,15 @@ type storeMetrics struct {
 	ckptTotal    *metrics.Counter
 	ckptErrors   *metrics.Counter
 	flushSeconds *metrics.Histogram // epoch drain wall time per entry
-	flushes      *metrics.Counter   // entry drains that merged keys
+	flushes      *metrics.Counter   // entry drains that applied keys
 
 	// Cached knwd_stage_seconds series (Config.Stages; nil without a
 	// stage vec). Cached once here so the hot path never takes the
 	// vec's series-lookup lock.
 	stageClaim  *metrics.Histogram // delta-slot CAS claim
-	stageHash   *metrics.Histogram // string-key hash + append (Ingest)
-	stageAppend *metrics.Histogram // pre-hashed append (IngestHashed)
-	stageMerge  *metrics.Histogram // epoch drain of one entry
+	stageHash   *metrics.Histogram // Ingest: hash into a slot buffer, or direct apply
+	stageAppend *metrics.Histogram // IngestHashed: buffer copy, or direct apply
+	stageMerge  *metrics.Histogram // epoch drain of one entry's buffered keys
 }
 
 // initMetrics registers the store instruments on reg (nil disables
@@ -49,10 +49,10 @@ func (s *Store) initMetrics(reg *metrics.Registry) {
 		ckptErrors: reg.NewCounter("knwd_store_checkpoint_errors_total",
 			"Checkpoint writes that failed."),
 		flushSeconds: reg.NewHistogram("knwd_store_epoch_flush_seconds",
-			"Wall time of one entry's delta drain (slot claim + merges).",
+			"Wall time of one entry's epoch drain (slot claims + AddBatch of buffered keys).",
 			metrics.ExponentialBuckets(0.00001, 2, 14)), // 10µs .. ~80ms
 		flushes: reg.NewCounter("knwd_store_epoch_flushes_total",
-			"Entry drains that merged at least one pending key."),
+			"Entry drains that applied at least one buffered key."),
 	}
 	if s.cfg.Stages != nil {
 		s.met.stageClaim = s.cfg.Stages.With("slot_claim")
@@ -60,11 +60,8 @@ func (s *Store) initMetrics(reg *metrics.Registry) {
 		s.met.stageAppend = s.cfg.Stages.With("append")
 		s.met.stageMerge = s.cfg.Stages.With("epoch_merge")
 	}
-	reg.NewGaugeFunc("knwd_store_epoch_flush_floor_keys",
-		"Adaptive per-entry pending-key floor below which epoch ticks defer draining.",
-		func() float64 { return float64(s.flushFloor.Load()) })
 	reg.NewGaugeFunc("knwd_store_pending_delta_keys",
-		"Keys accepted into delta slots but not yet merged into canonical sketches.",
+		"Keys buffered in delta slots but not yet applied to canonical sketches.",
 		func() float64 { return float64(s.pendingKeys.Load()) })
 	reg.NewGaugeFunc("knwd_store_epoch_lag_seconds",
 		"Age of the oldest undrained delta (0 when no deltas are pending).",

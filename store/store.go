@@ -101,9 +101,12 @@ type Config struct {
 	// instrumentation.
 	Metrics *metrics.Registry
 	// Stages, when non-nil, receives the store's share of the
-	// knwd_stage_seconds pipeline-stage histogram (stage labels
-	// slot_claim, hash, append, epoch_merge). The service layer owns
-	// the vec so one family spans the HTTP, store, and cluster layers.
+	// knwd_stage_seconds pipeline-stage histogram: slot_claim (the
+	// delta-slot CAS), hash (Ingest: hashing into a slot buffer, or a
+	// direct apply), append (IngestHashed: a buffer copy, or a direct
+	// apply) and epoch_merge (an epoch drain feeding buffered keys to
+	// the sketches). The service layer owns the vec so one family spans
+	// the HTTP, store, and cluster layers.
 	Stages *metrics.HistogramVec
 }
 
@@ -132,17 +135,16 @@ type Store struct {
 	hasher       knw.SeededHasher[string]
 
 	// Epoch drain state (delta.go).
-	slots        int  // delta slots per entry
-	persistSlots bool // slots survive drains (max-merge kinds, no window)
-	flushFloor   atomic.Int64
-	dirtyMu      sync.Mutex
-	dirty        []*entry
-	pendingKeys  atomic.Int64 // undrained keys across all entries
-	dirtySince   atomic.Int64 // unix nanos the dirty list became non-empty
-	lastFlush    atomic.Int64 // unix nanos of the last completed Flush pass
-	stop         chan struct{}
-	loopDone     chan struct{}
-	closeOnce    sync.Once
+	slots       int       // delta slots per entry
+	bufs        sync.Pool // empty *keyBuf slot buffers
+	dirtyMu     sync.Mutex
+	dirty       []*entry
+	pendingKeys atomic.Int64 // undrained keys across all entries
+	dirtySince  atomic.Int64 // unix nanos the dirty list became non-empty
+	lastFlush   atomic.Int64 // unix nanos of the last completed Flush pass
+	stop        chan struct{}
+	loopDone    chan struct{}
+	closeOnce   sync.Once
 }
 
 type registryShard struct {
@@ -151,18 +153,19 @@ type registryShard struct {
 }
 
 // entry is one named sketch: the all-time total, the optional window
-// ring, and the delta slots ingestion writes through (delta.go). The
+// ring, and the delta slots ingestion buffers keys in (delta.go). The
 // entry mutex serializes drains, rotation, estimation, merging, and
-// checkpoint capture, while Ingest/IngestHashed never take it: they
-// only claim a delta slot, so concurrent writers never share a sketch.
+// checkpoint capture. Ingest/IngestHashed take it only for a batch
+// that does not fit their slot's buffer; otherwise they just claim a
+// slot, so concurrent writers never share a buffer.
 type entry struct {
 	mu     sync.Mutex
 	total  knw.Estimator
 	window *windowRing
-	// version counts state changes to total (drains that merged keys,
-	// Merge, Restore, checkpoint install), starting at 1 on creation;
-	// enc is the section-level encode cache DeltaSnapshot serves from
-	// (version.go). enc is guarded by mu.
+	// version counts state changes to total (drains that applied keys,
+	// direct applies, Merge, Restore, checkpoint install), starting at 1
+	// on creation; enc is the section-level encode cache DeltaSnapshot
+	// serves from (version.go). enc is guarded by mu.
 	version atomic.Uint64
 	enc     *sectionCache
 
@@ -170,7 +173,6 @@ type entry struct {
 	pending    atomic.Int64 // keys in slots not yet drained
 	queued     atomic.Bool  // on the store's dirty list
 	writeStamp atomic.Int64 // store-clock nanos of the last windowed write
-	lastDrain  atomic.Int64 // real-clock nanos of the last drain (floor aging)
 }
 
 // New builds an empty store. The configured kind must serialize
@@ -209,15 +211,6 @@ func New(cfg Config) (*Store, error) {
 	}
 	s.hasher = knw.NewHasher[string](s.seed, s.universeBits)
 	s.slots = slotsPerEntry()
-	// Max-merge kinds on unwindowed stores keep their delta slots across
-	// drains (see the drain-policy note in delta.go): re-merging a
-	// persistent slot is idempotent, and a slot that is never reset stops
-	// re-paying the sketch's expensive low-offset early life every epoch.
-	// Turnstile kinds merge by sum (re-merge double-counts) and windowed
-	// stores need true per-epoch deltas for bucket attribution, so both
-	// reset after every drain.
-	s.persistSlots = !cfg.Kind.Turnstile() && !cfg.Window.enabled()
-	s.flushFloor.Store(flushFloorMin)
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*entry)
 	}
@@ -336,95 +329,20 @@ func (s *Store) newEntry() *entry {
 }
 
 // Ingest records a batch of string keys under name, creating the store
-// entry on first write. The batch is hashed and appended to a private
-// per-P delta sketch — no entry lock — and merged into the canonical
-// total and current window bucket by the next epoch drain or read
-// barrier, whichever comes first (delta.go).
+// entry on first write. The keys are hashed into a delta slot's buffer
+// — no entry lock — and fed to the canonical total and current window
+// bucket by the next epoch drain or read barrier, whichever comes
+// first; a batch too large for its slot's free space is applied by the
+// caller instead (delta.go).
 func (s *Store) Ingest(name string, keys []string) error {
-	e, err := s.lookup(name, true)
-	if err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if e.window != nil {
-		e.writeStamp.Store(s.now().UnixNano())
-	}
-	// Stage attribution costs three clock reads per batch — amortized
-	// over thousands of keys — and only when a stage vec is configured,
-	// so library users and microbenchmarks pay nothing.
-	var t0, t1 time.Time
-	timed := s.met.stageClaim != nil
-	if timed {
-		t0 = time.Now()
-	}
-	sl := e.claim()
-	if timed {
-		t1 = time.Now()
-	}
-	if sl.sk == nil {
-		sl.sk = s.newSketch()
-		// The slot's Keyed derives its hasher from the slot sketch's
-		// pinned seed and universe, so every slot in the store hashes
-		// identically (and identically to Store.HashKey).
-		sl.keyed = knw.NewKeyed[string](sl.sk)
-	}
-	sl.keyed.AddBatch(keys)
-	if timed {
-		t2 := time.Now()
-		s.met.stageClaim.Observe(t1.Sub(t0).Seconds())
-		s.met.stageHash.Observe(t2.Sub(t1).Seconds())
-	}
-	sl.pending += len(keys)
-	e.pending.Add(int64(len(keys)))
-	s.pendingKeys.Add(int64(len(keys)))
-	sl.release()
-	s.met.ingestedKeys.Add(uint64(len(keys)))
-	s.markDirty(e)
-	return nil
+	return s.ingest(name, keys, nil, s.met.stageHash)
 }
 
 // IngestHashed is Ingest for pre-hashed keys (clients that run the
 // store's hash on their side — Store.HashKey, or knw.NewHasher with
 // the store's seed and universe — and ship uint64s).
 func (s *Store) IngestHashed(name string, keys []uint64) error {
-	e, err := s.lookup(name, true)
-	if err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if e.window != nil {
-		e.writeStamp.Store(s.now().UnixNano())
-	}
-	var t0, t1 time.Time
-	timed := s.met.stageClaim != nil
-	if timed {
-		t0 = time.Now()
-	}
-	sl := e.claim()
-	if timed {
-		t1 = time.Now()
-	}
-	if sl.sk == nil {
-		sl.sk = s.newSketch()
-		sl.keyed = knw.NewKeyed[string](sl.sk)
-	}
-	sl.sk.AddBatch(keys)
-	if timed {
-		t2 := time.Now()
-		s.met.stageClaim.Observe(t1.Sub(t0).Seconds())
-		s.met.stageAppend.Observe(t2.Sub(t1).Seconds())
-	}
-	sl.pending += len(keys)
-	e.pending.Add(int64(len(keys)))
-	s.pendingKeys.Add(int64(len(keys)))
-	sl.release()
-	s.met.ingestedKeys.Add(uint64(len(keys)))
-	s.markDirty(e)
-	return nil
+	return s.ingest(name, nil, keys, s.met.stageAppend)
 }
 
 // Estimate is one store entry's read-side report.
@@ -584,12 +502,12 @@ func (s *Store) Restore(name string, envelope []byte) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Fold pending deltas into the outgoing total first: writes
-	// acknowledged before the Restore belong to the replaced state, not
-	// the restored one. Then discard the slots — persistent ones retain
-	// history that must not leak into the restored sketch.
+	// Drain into the outgoing total first: writes acknowledged before
+	// the Restore belong to the replaced state, not the restored one.
+	// Keys a racing writer buffers after this drain land in the restored
+	// sketch — the write was concurrent with the replacement, so either
+	// order is correct.
 	s.drainLocked(e)
-	s.discardSlotsLocked(e)
 	e.total = peer
 	e.version.Add(1)
 	return nil

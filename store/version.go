@@ -11,9 +11,10 @@ import (
 // checkpoints (checkpoint.go).
 //
 // Every entry carries a monotonically increasing version, bumped by
-// exactly the operations that change its canonical all-time state: an
-// epoch drain that merged pending keys, a Merge, a Restore, and a
-// checkpoint install. Versions start at 1 on creation (so "store
+// exactly the operations that change its canonical all-time state: a
+// drain that applied buffered keys, a writer's direct apply of a batch
+// that overflowed its slot, a Merge, a Restore, and a checkpoint
+// install. Versions start at 1 on creation (so "store
 // exists, still empty" is itself replicable state) and are
 // process-local — they are never persisted, and peers pair them with a
 // per-process instance id (see cluster/gossip.go) so a restarted

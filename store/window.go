@@ -14,12 +14,14 @@ import (
 //
 // The windowed estimate is the merge of all N buckets into a scratch
 // sketch. Because every bucket shares the store's options and seed,
-// their hash functions coincide and the KNW counters merge exactly
-// (max for F0, linear sum for L0): the merged sketch is byte-identical
-// to one that ingested the union of the buckets' streams, so the
-// window estimate carries the same (ε, δ) guarantee as a single sketch
-// over the trailing window. Keys seen in several buckets count once —
-// union semantics, not sum of per-bucket counts.
+// their hash functions coincide and the merge is a sketch of the union
+// of the buckets' streams. L0 counters sum linearly, so a merged L0
+// equals the sketch that ingested the union. F0 counters take
+// per-counter maxima: the result is a valid KNW sketch of the union
+// with the same (ε, δ) guarantee (TestEpsilonDeltaGuaranteeRebalance
+// checks merged F0s statistically), but neither its bytes nor its
+// estimate need match whole-stream ingest. Keys seen in several buckets
+// count once — union semantics, not sum of per-bucket counts.
 //
 // All methods are called with the owning entry's mutex held.
 type windowRing struct {
