@@ -43,17 +43,20 @@ type Estimate struct {
 var errNoData = errors.New("cluster: store unknown on every reachable node")
 
 // gatherRes is one member's contribution to a scatter-gather: its
-// snapshot envelope (nil when the member does not hold the store) or
-// the failure that kept it from contributing.
+// sketch (est, or ring for scope=buckets; nil when the member does not
+// hold the store) or the failure that kept it from contributing. The
+// local member's is an in-memory copy, a peer's is decoded from the
+// snapshot it served; either way it is the gather's to mutate.
 type gatherRes struct {
 	member int
-	env    []byte
+	est    knw.Estimator
+	ring   *store.RingSnapshot
 	err    error
 }
 
-// MergedEstimate assembles the cluster-wide estimate for name: the
-// local sketch plus every peer's snapshot envelope, opened and merged
-// in this process — the gather GatherSketch runs, once for the
+// MergedEstimate assembles the cluster-wide estimate for name: a copy
+// of the local sketch plus every peer's snapshot envelope, opened and
+// merged in this process — the gather GatherSketch runs, once for the
 // all-time sketches and, on windowed stores, once for the live window
 // rings. Peers that do not hold the store contribute nothing and are
 // still counted healthy; peers that cannot be reached (or ship

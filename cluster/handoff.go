@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	knw "repro"
 	"repro/internal/binenc"
 	"repro/internal/httpx"
 	"repro/internal/trace"
@@ -325,7 +324,7 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 	count := 0
 	var keyMass float64
 	for _, name := range rt.local.Names() {
-		env, serr := rt.local.Snapshot(name, nil)
+		env, est, serr := rt.local.SnapshotEstimate(name, nil)
 		if errors.Is(serr, store.ErrNotFound) {
 			continue // deleted between Names and Snapshot
 		}
@@ -336,9 +335,7 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 		body.Uvarint(handoffScopeAllTime)
 		body.Bytes(env)
 		count++
-		if est, oerr := knw.Open(env); oerr == nil {
-			keyMass += est.Estimate()
-		}
+		keyMass += est
 		if !windowed {
 			continue
 		}

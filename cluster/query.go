@@ -55,9 +55,9 @@ func (g *GatherInfo) Merge(o GatherInfo) {
 }
 
 // GatherSketch assembles the cluster-wide union sketch for one store:
-// the local envelope plus every peer's, opened and merged in this
-// process. windowed merges the scope=window envelopes (the live window
-// rings) instead of the all-time ones. Failure semantics match
+// a copy of the local sketch plus every peer's envelope, opened and
+// merged in this process. windowed merges the live window rings'
+// unions (scope=window) instead of the all-time sketches. Failure semantics match
 // MergedEstimate: peers that hold no data count healthy, unreachable
 // or incompatible peers land in GatherInfo.FailedPeers with the merged
 // remainder still returned, and the error return means no data
@@ -84,20 +84,17 @@ func (rt *Router) GatherSketch(name string, windowed bool, act *trace.Active) (k
 }
 
 // gather scatters one snapshot scope to every member and merges the
-// envelopes, tallying completeness. Callers count the outcome
+// sketches, tallying completeness. Callers count the outcome
 // (notePartial) once per request.
 func (rt *Router) gather(v *ringView, name, scope string, act *trace.Active) (knw.Estimator, GatherInfo) {
 	info := GatherInfo{Nodes: len(v.members)}
 	var acc knw.Estimator
 	for _, res := range rt.scatterScope(v, name, scope, act.HeaderValue()) {
-		if res.err == nil && res.env != nil {
-			est, err := knw.Open(res.env)
-			if err != nil {
-				res.err = err
-			} else if acc == nil {
-				acc = est
+		if res.err == nil && res.est != nil {
+			if acc == nil {
+				acc = res.est
 			} else {
-				res.err = knw.MergeInto(acc, est)
+				res.err = knw.MergeInto(acc, res.est)
 			}
 		}
 		if res.err != nil {
@@ -113,57 +110,65 @@ func (rt *Router) gather(v *ringView, name, scope string, act *trace.Active) (kn
 	return acc, info
 }
 
-// scatterScope collects every member's envelope for one snapshot scope
-// concurrently: the local store is read in-process, peers over GET
-// /v1/snapshot. The member space is the view's union list, so
-// mid-rebalance gathers read joining and leaving nodes alike. hdr is
-// the caller's rendered trace header ("" when unsampled), attached to
-// every peer fetch; a peer's 404 is a healthy empty contribution.
+// scatterScope collects every member's sketch for one snapshot scope
+// concurrently: the local store's is copied in memory, peers' are
+// fetched over GET /v1/snapshot and decoded. The member space is the
+// view's union list, so mid-rebalance gathers read joining and leaving
+// nodes alike. hdr is the caller's rendered trace header ("" when
+// unsampled), attached to every peer fetch; a peer's 404 is a healthy
+// empty contribution.
 func (rt *Router) scatterScope(v *ringView, name, scope, hdr string) []gatherRes {
 	results := make([]gatherRes, len(v.members))
 	var wg sync.WaitGroup
 	for m := range v.members {
-		results[m].member = m
 		if m == v.self {
-			results[m].env, results[m].err = rt.localScope(name, scope)
+			results[m] = rt.localScope(name, scope)
+			results[m].member = m
 			continue
 		}
+		results[m].member = m
 		wg.Add(1)
-		go func(m int) {
+		go func(res *gatherRes) {
 			defer wg.Done()
-			env, found, err := rt.getSnapshot(v.members[m], name, scope, hdr)
-			results[m].err = err
-			if found {
-				results[m].env = env
+			env, found, err := rt.getSnapshot(v.members[res.member], name, scope, hdr)
+			switch {
+			case err != nil:
+				res.err = err
+			case !found:
+			case scope == "buckets":
+				var rs store.RingSnapshot
+				if rs, res.err = store.DecodeRingSnapshot(env); res.err == nil {
+					res.ring = &rs
+				}
+			default:
+				res.est, res.err = knw.Open(env)
 			}
-		}(m)
+		}(&results[m])
 	}
 	wg.Wait()
 	return results
 }
 
-// localScope reads this node's own envelope for a snapshot scope
-// without HTTP; a nil envelope with nil error means the store is
-// unknown here (the healthy-empty contribution).
-func (rt *Router) localScope(name, scope string) ([]byte, error) {
-	var env []byte
+// localScope reads this node's own contribution for a snapshot scope
+// in memory: a copy of the all-time sketch or of the live window's
+// union, or the ring's bucket copies. A store unknown here is the
+// healthy-empty contribution.
+func (rt *Router) localScope(name, scope string) gatherRes {
+	var res gatherRes
 	var err error
-	switch scope {
-	case "window":
-		env, err = rt.local.WindowSnapshot(name, nil)
-	case "buckets":
+	if scope == "buckets" {
 		var rs store.RingSnapshot
-		rs, err = rt.local.RingSnapshot(name)
-		if err == nil {
-			env = rs.Encode(nil)
+		if rs, err = rt.local.RingSnapshot(name); err == nil {
+			res.ring = &rs
 		}
-	default:
-		env, err = rt.local.Snapshot(name, nil)
+	} else {
+		// A nil copy is a store unknown here.
+		res.est, _, err = rt.local.CopySketch(name, scope == "window", 0)
 	}
-	if errors.Is(err, store.ErrNotFound) {
-		return nil, nil
+	if !errors.Is(err, store.ErrNotFound) {
+		res.err = err
 	}
-	return env, err
+	return res
 }
 
 // GatherSeries assembles the cluster-wide cardinality time-series for
@@ -198,20 +203,14 @@ func (rt *Router) GatherSeries(name string, span time.Duration, act *trace.Activ
 	var sketchName string
 	seen := false
 	for _, res := range results {
-		if res.err == nil && res.env != nil {
+		if res.err == nil && res.ring != nil {
 			res.err = func() error {
-				rs, err := store.DecodeRingSnapshot(res.env)
-				if err != nil {
-					return err
-				}
+				rs := res.ring
 				if rs.Interval != win.Interval {
 					return fmt.Errorf("peer window interval %v differs from local %v", rs.Interval, win.Interval)
 				}
 				for _, b := range rs.Buckets {
-					est, err := knw.Open(b.Env)
-					if err != nil {
-						return err
-					}
+					est := b.Sketch
 					sketchName = est.Name()
 					if cur := byEpoch[b.Epoch]; cur == nil {
 						byEpoch[b.Epoch] = est

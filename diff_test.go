@@ -1,6 +1,7 @@
 package knw
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -126,5 +127,25 @@ func TestMergeNegatedSelfInverse(t *testing.T) {
 	}
 	if got != 0 {
 		t.Errorf("x - x should be 0, got %v", got)
+	}
+}
+
+// TestMergeNegatedWrapsErrIncompatible: a configuration mismatch in a
+// diff is an ErrIncompatible, as it is in Merge, through MergeNegated
+// and through both library entry points that reach it.
+func TestMergeNegatedWrapsErrIncompatible(t *testing.T) {
+	a := NewL0(WithSeed(1), WithEpsilon(0.3), WithCopies(1))
+	b := NewL0(WithSeed(2), WithEpsilon(0.3), WithCopies(1))
+	if err := a.Merge(b); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("Merge: %v, want ErrIncompatible", err)
+	}
+	if err := a.MergeNegated(b); !errors.Is(err, ErrIncompatible) {
+		t.Errorf("MergeNegated: %v, want ErrIncompatible", err)
+	}
+	if _, err := HammingDiff(a, b); !errors.Is(err, ErrIncompatible) {
+		t.Errorf("HammingDiff: %v, want ErrIncompatible", err)
+	}
+	if _, err := Hamming(a, b); !errors.Is(err, ErrIncompatible) {
+		t.Errorf("Hamming: %v, want ErrIncompatible", err)
 	}
 }

@@ -90,6 +90,11 @@
 // service exposes the same algebra as GET /v1/query and per-bucket
 // window time-series as GET /v1/series.
 //
+// The clones here are native: Clone copies a sketch's counter state
+// over its shared hash functions and never goes through its bytes.
+// The wire codec (MarshalBinary, Open, KNWD deltas) is for bytes that
+// leave or enter the process.
+//
 // # The knwd service
 //
 // The store and service packages (plus cmd/knwd) run the library as a

@@ -2,7 +2,6 @@ package knw
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/binenc"
 )
@@ -28,25 +27,14 @@ const (
 	envVersion = 1
 )
 
-// payloadScratch pools the intermediate payload buffers the
-// AppendBinary path needs (the envelope length-prefixes the payload,
-// so the payload must be sized before the header is written). Pooling
-// keeps the snapshot/merge hot path — a service checkpointing every
-// store on a tick, or streaming snapshots to peers — from re-growing a
-// fresh buffer per sketch per round.
-var payloadScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendEnvelope appends an envelope for kind to dst, obtaining the
-// payload from appendPayload via a pooled scratch buffer.
+// appendEnvelope appends an envelope for kind to dst, appending the
+// payload in place behind the header (binenc.Writer.Frame).
 func appendEnvelope(dst []byte, kind Kind, appendPayload func([]byte) []byte) []byte {
-	p := payloadScratch.Get().(*[]byte)
-	*p = appendPayload((*p)[:0])
 	w := binenc.Writer{Buf: dst}
 	w.Uvarint(envMagic)
 	w.Uvarint(envVersion)
 	w.Uvarint(uint64(kind))
-	w.Bytes(*p)
-	payloadScratch.Put(p)
+	w.Frame(appendPayload)
 	return w.Buf
 }
 

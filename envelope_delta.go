@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/binenc"
 )
@@ -284,6 +285,82 @@ func DecodeDelta(data []byte) (Delta, error) {
 	return d, nil
 }
 
+// ApplyTo applies the delta to a decoded base sketch and returns a new
+// sketch: a native copy of base with each changed copy section
+// restored into a fresh blank, never encoding base. base must be an
+// *F0 or *L0 whose kind, copy count and payload header (computed from
+// its settings) match the delta's, exactly as ApplyDelta checks the
+// envelope it splices; base is only read. The result marshals to the
+// bytes Open(ApplyDelta(<base's envelope>, delta)) marshals to, and
+// fails where that fails, so a replica can hold the decoded sketch
+// alone.
+func (d Delta) ApplyTo(base Estimator) (Estimator, error) {
+	switch b := base.(type) {
+	case *F0:
+		if err := d.checkBase(KindF0, b.appendHeader(nil), len(b.fast)+len(b.ref)); err != nil {
+			return nil, err
+		}
+		out := b.blank()
+		if err := applyCopies(out.fast, b.fast, 0, &d); err != nil {
+			return nil, fmt.Errorf("knw: restoring F0 copy: %w", err)
+		}
+		if err := applyCopies(out.ref, b.ref, len(b.fast), &d); err != nil {
+			return nil, fmt.Errorf("knw: restoring F0 copy: %w", err)
+		}
+		return out, nil
+	case *L0:
+		if err := d.checkBase(KindL0, b.appendHeader(nil), len(b.copies)); err != nil {
+			return nil, err
+		}
+		out := b.blank()
+		if err := applyCopies(out.copies, b.copies, 0, &d); err != nil {
+			return nil, fmt.Errorf("knw: restoring L0 copy: %w", err)
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("knw: delta base: kind %s has no sectioned payload", kindOf(base))
+}
+
+// checkBase verifies that a base of the given kind, payload header and
+// section count is the shape the delta was diffed against.
+func (d *Delta) checkBase(kind Kind, header []byte, sections int) error {
+	if kind != d.Kind {
+		return fmt.Errorf("knw: delta for kind %s cannot apply to a %s base", d.Kind, kind)
+	}
+	if sections != d.TotalSections {
+		return fmt.Errorf("knw: delta expects %d sections, base has %d", d.TotalSections, sections)
+	}
+	if deltaHeaderSum(header) != d.headerSum {
+		return fmt.Errorf("knw: delta header checksum mismatch (different base configuration)")
+	}
+	return nil
+}
+
+// copyState is one copy of a sketch: restorable from its section, and
+// copyable from a same-settings copy.
+type copyState[T any] interface {
+	RestoreState(*binenc.Reader) error
+	CopyFrom(T)
+}
+
+// applyCopies fills the blank copies dst, which are sections off to
+// off+len(dst)-1: a section the delta changes is restored from the
+// delta, every other one is copied from base.
+func applyCopies[T copyState[T]](dst, base []T, off int, d *Delta) error {
+	j := sort.SearchInts(d.Indexes, off)
+	for i, c := range dst {
+		if j < len(d.Indexes) && d.Indexes[j] == off+i {
+			if err := restoreSection(d.Sections[j], c.RestoreState); err != nil {
+				return err
+			}
+			j++
+			continue
+		}
+		c.CopyFrom(base[i])
+	}
+	return nil
+}
+
 // ApplyDelta splices a KNWD delta into the full envelope it was diffed
 // against and returns the new full envelope. The base must match the
 // delta's kind, section count, and header checksum; version agreement
@@ -298,14 +375,8 @@ func ApplyDelta(full, delta []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("knw: delta base: %w", err)
 	}
-	if es.Kind != d.Kind {
-		return nil, fmt.Errorf("knw: delta for kind %s cannot apply to a %s base", d.Kind, es.Kind)
-	}
-	if len(es.Sections) != d.TotalSections {
-		return nil, fmt.Errorf("knw: delta expects %d sections, base has %d", d.TotalSections, len(es.Sections))
-	}
-	if deltaHeaderSum(es.Header) != d.headerSum {
-		return nil, fmt.Errorf("knw: delta header checksum mismatch (different base configuration)")
+	if err := d.checkBase(es.Kind, es.Header, len(es.Sections)); err != nil {
+		return nil, err
 	}
 	for j, i := range d.Indexes {
 		es.Sections[i] = d.Sections[j]

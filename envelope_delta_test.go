@@ -225,10 +225,10 @@ func TestSplitRejectsUnframed(t *testing.T) {
 	}
 }
 
-// FuzzDeltaEnvelope drives the KNWD decode/apply path with arbitrary
-// bytes: DecodeDelta and ApplyDelta must return errors, never panic,
-// and a valid round-trip must stay byte-identical.
-func FuzzDeltaEnvelope(f *testing.F) {
+// addDeltaSeeds seeds a (delta, base) fuzz target: deltas plain and
+// DEFLATE-compressed against their base, the pair swapped, and empty
+// input.
+func addDeltaSeeds(f *testing.F) {
 	est, err := New(KindF0, WithEpsilon(0.2), WithSeed(7))
 	if err != nil {
 		f.Fatal(err)
@@ -251,6 +251,13 @@ func FuzzDeltaEnvelope(f *testing.F) {
 	f.Add(seedZ, full)
 	f.Add(full, seed)
 	f.Add([]byte{}, []byte{})
+}
+
+// FuzzDeltaEnvelope drives the KNWD decode/apply path with arbitrary
+// bytes: DecodeDelta and ApplyDelta must return errors, never panic,
+// and a valid round-trip must stay byte-identical.
+func FuzzDeltaEnvelope(f *testing.F) {
+	addDeltaSeeds(f)
 	f.Fuzz(func(t *testing.T, delta, base []byte) {
 		d, err := DecodeDelta(delta)
 		if err == nil {

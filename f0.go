@@ -70,6 +70,27 @@ func (f *F0) blank() *F0 {
 	return b
 }
 
+// copyFrom overwrites f's counter state with src's, reusing f's
+// storage. The settings must be equal (so the hash functions are);
+// src is only read. f ends holding what Open would restore from src's
+// bytes: a copy phase in flight in src is finished in f.
+func (f *F0) copyFrom(src *F0) {
+	for i, s := range f.fast {
+		s.CopyFrom(src.fast[i])
+	}
+	for i, s := range f.ref {
+		s.CopyFrom(src.ref[i])
+	}
+}
+
+// clone returns a native copy of f: fresh counter state over f's hash
+// functions, filled by copyFrom.
+func (f *F0) clone() *F0 {
+	c := f.blank()
+	c.copyFrom(f)
+	return c
+}
+
 // seedBits returns the bits of every copy's hash functions: what a
 // draw costs the cache.
 func (f *F0) seedBits() int {

@@ -19,8 +19,15 @@ type Writer struct {
 	Buf []byte
 }
 
-// Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) { w.Buf = binary.AppendUvarint(w.Buf, v) }
+// Uvarint appends an unsigned varint. Values below 0x80, which is
+// every sketch counter, take one byte and skip the general encoder.
+func (w *Writer) Uvarint(v uint64) {
+	if v < 0x80 {
+		w.Buf = append(w.Buf, byte(v))
+		return
+	}
+	w.Buf = binary.AppendUvarint(w.Buf, v)
+}
 
 // Varint appends a signed varint (zig-zag).
 func (w *Writer) Varint(v int64) { w.Buf = binary.AppendVarint(w.Buf, v) }
@@ -38,6 +45,22 @@ func (w *Writer) Bool(b bool) {
 func (w *Writer) Bytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
 	w.Buf = append(w.Buf, b...)
+}
+
+// Frame appends a length-prefixed frame whose body fill appends to the
+// buffer it is given, so the body is encoded in place instead of into
+// a scratch buffer that is then copied: once the body's length is
+// known, the body moves right by the width of its prefix. The bytes
+// equal Bytes of the same body.
+func (w *Writer) Frame(fill func([]byte) []byte) {
+	start := len(w.Buf)
+	w.Buf = fill(w.Buf)
+	n := len(w.Buf) - start
+	var pre [binary.MaxVarintLen64]byte
+	p := binary.PutUvarint(pre[:], uint64(n))
+	w.Buf = append(w.Buf, pre[:p]...)
+	copy(w.Buf[start+p:], w.Buf[start:start+n])
+	copy(w.Buf[start:], pre[:p])
 }
 
 // Uints appends a length-prefixed slice of uvarints.
@@ -65,10 +88,16 @@ func (r *Reader) fail() {
 	}
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. A one-byte value skips the
+// general decoder.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if len(r.Buf) > 0 && r.Buf[0] < 0x80 {
+		v := uint64(r.Buf[0])
+		r.Buf = r.Buf[1:]
+		return v
 	}
 	v, n := binary.Uvarint(r.Buf)
 	if n <= 0 {
@@ -111,27 +140,9 @@ func (r *Reader) Bool() bool {
 	return b == 1
 }
 
-// Bytes reads a length-prefixed byte slice (copied).
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.Buf)) < n {
-		r.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.Buf[:n])
-	r.Buf = r.Buf[n:]
-	return out
-}
-
 // BytesView reads a length-prefixed byte slice without copying: the
-// returned slice aliases the reader's buffer. For transient framing
-// reads (envelope unwrapping, per-section dispatch) where the view is
-// fully consumed before the underlying buffer is reused; use Bytes
-// when the bytes outlive the decode.
+// returned slice aliases the reader's buffer, so a caller whose bytes
+// must outlive that buffer copies them.
 func (r *Reader) BytesView() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
@@ -165,6 +176,28 @@ func (r *Reader) Uints(maxLen int) []uint64 {
 		return nil
 	}
 	return out
+}
+
+// UvarintsView reads what Uints wrote for exactly n values, each at
+// most max and each one byte long (below 0x80): it returns the n
+// encoded bytes, aliasing the reader's buffer, and byte i is value i.
+// A run of a different length, a value above max or a multi-byte
+// value, or a truncated run is a sticky ErrCorrupt.
+func (r *Reader) UvarintsView(n int, max uint64) []byte {
+	if cnt := r.Uvarint(); r.err != nil || cnt != uint64(n) || len(r.Buf) < n {
+		r.fail()
+		return nil
+	}
+	lim := byte(min(max, 0x7f))
+	run := r.Buf[:n:n]
+	for _, v := range run {
+		if v > lim {
+			r.fail()
+			return nil
+		}
+	}
+	r.Buf = r.Buf[n:]
+	return run
 }
 
 // Expect checks a magic/version marker.

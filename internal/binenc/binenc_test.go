@@ -28,7 +28,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if !r.Bool() || r.Bool() {
 		t.Fatal("bool roundtrip")
 	}
-	if string(r.Bytes()) != "hello" || len(r.Bytes()) != 0 {
+	if string(r.BytesView()) != "hello" || len(r.BytesView()) != 0 {
 		t.Fatal("bytes roundtrip")
 	}
 	got := r.Uints(10)
@@ -51,7 +51,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		w.Bool(b)
 		w.Bytes(bs)
 		r := Reader{Buf: w.Buf}
-		gu, gv, gb, gbs := r.Uvarint(), r.Varint(), r.Bool(), r.Bytes()
+		gu, gv, gb, gbs := r.Uvarint(), r.Varint(), r.Bool(), r.BytesView()
 		return r.Err() == nil && gu == u && gv == v && gb == b && string(gbs) == string(bs)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -66,7 +66,7 @@ func TestTruncationDetected(t *testing.T) {
 	for cut := 0; cut < len(w.Buf); cut++ {
 		r := Reader{Buf: w.Buf[:cut]}
 		r.Uvarint()
-		r.Bytes()
+		r.BytesView()
 		if r.Err() == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
@@ -80,7 +80,7 @@ func TestStickyError(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	// Subsequent reads return zero values, error unchanged.
-	if r.Uvarint() != 0 || r.Varint() != 0 || r.Bool() || r.Bytes() != nil {
+	if r.Uvarint() != 0 || r.Varint() != 0 || r.Bool() || r.BytesView() != nil {
 		t.Fatal("reads after error should be inert")
 	}
 }
@@ -114,5 +114,61 @@ func TestExpect(t *testing.T) {
 	r2.Expect(43, "magic")
 	if r2.Err() == nil {
 		t.Fatal("wrong magic must error")
+	}
+}
+
+// TestFrameMatchesBytes: a frame encoded in place is byte-identical to
+// Bytes of the same body, for bodies whose length prefix takes one,
+// two and three bytes.
+func TestFrameMatchesBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 20000} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		var want, got Writer
+		want.Uvarint(99)
+		want.Bytes(body)
+		got.Uvarint(99)
+		got.Frame(func(b []byte) []byte { return append(b, body...) })
+		if string(got.Buf) != string(want.Buf) {
+			t.Fatalf("%d-byte body: Frame and Bytes encode differently", n)
+		}
+	}
+}
+
+// TestUvarintsView: the view of a Uints run of one-byte values is the
+// values; a wrong count, a value above max, a multi-byte value and a
+// truncated run are sticky ErrCorrupt.
+func TestUvarintsView(t *testing.T) {
+	vals := []uint64{0, 5, 63, 1, 0}
+	var w Writer
+	w.Uints(vals)
+	w.Uvarint(7)
+	r := Reader{Buf: w.Buf}
+	run := r.UvarintsView(len(vals), 63)
+	if r.Err() != nil || string(run) != "\x00\x05\x3f\x01\x00" || r.Uvarint() != 7 {
+		t.Fatalf("one-byte run: %v %q", r.Err(), run)
+	}
+
+	for name, c := range map[string]struct {
+		buf []byte
+		n   int
+		max uint64
+	}{
+		"count above n":  {[]byte{3, 1, 1, 1}, 2, 63},
+		"count below n":  {[]byte{1, 1}, 2, 63},
+		"value over max": {[]byte{2, 1, 64}, 2, 63},
+		"multi-byte":     {[]byte{1, 0xac, 0x02}, 1, 299},
+		"over-long":      {[]byte{1, 0x81, 0x00}, 1, 63},
+		"truncated":      {[]byte{3, 1, 1}, 3, 63},
+	} {
+		r := Reader{Buf: c.buf}
+		if run := r.UvarintsView(c.n, c.max); run != nil || r.Err() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if r.Uvarint() != 0 {
+			t.Errorf("%s: reads after the error are not inert", name)
+		}
 	}
 }

@@ -102,6 +102,16 @@ func (b *BitVector) Clone() *BitVector {
 	return &BitVector{words: w, n: b.n, ones: b.ones}
 }
 
+// CopyFrom makes b's bits equal to o's. Both vectors must have the
+// same length.
+func (b *BitVector) CopyFrom(o *BitVector) {
+	if b.n != o.n {
+		panic("bitutil: BitVector length mismatch in CopyFrom")
+	}
+	copy(b.words, o.words)
+	b.ones = o.ones
+}
+
 // Words exposes the packed representation (read-only by convention);
 // used for serialization and space accounting.
 func (b *BitVector) Words() []uint64 { return b.words }

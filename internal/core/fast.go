@@ -55,7 +55,9 @@ type FastSketch struct {
 	ln    *lntable.Table // non-nil only when Config.UseLnTable
 	lnK   float64        // ln(1 − 1/K), the estimator's fixed denominator
 
-	arr  [2]*vla.Array // counter arrays; arr[cur] is primary
+	// Counter arrays; arr[cur] is primary. arr[1] is nil until the
+	// first copy phase needs a secondary.
+	arr  [2]*vla.Array
 	cur  int
 	aPri int // A of the primary (Figure 3's packed-bits accounting)
 	tPri int // occupancy T of the primary
@@ -123,7 +125,7 @@ func (s *FastSketch) Blank() *FastSketch {
 		small:    newSmallF0(k),
 		ln:       s.ln,
 		lnK:      s.lnK,
-		arr:      [2]*vla.Array{vla.New(k), vla.New(k)},
+		arr:      [2]*vla.Array{vla.New(k)}, // the secondary comes with the first phase
 		copyPos:  -1,
 		resetPos: k, // the off array starts clean
 	}
@@ -326,6 +328,9 @@ func (s *FastSketch) onRoughChange(r uint64) {
 		s.advanceReset(s.cfg.K)
 	}
 	s.rescales++
+	if s.arr[1] == nil {
+		s.arr[1] = vla.New(s.cfg.K) // cur is 0 until the first phase ends
+	}
 	s.bPend = bnew
 	s.aSec, s.tSec = 0, 0
 	s.copyPos = 0
@@ -516,12 +521,48 @@ func (s *FastSketch) shiftTo(bnew int) {
 	s.b = bnew
 }
 
+// CopyFrom overwrites s's counter state with o's, reusing s's storage,
+// so s ends holding what RestoreState would load from o's AppendState
+// bytes: a copy phase or lazy reset in flight in o is finished in s.
+// o is only read, never drained, so a sketch nobody writes can be
+// copied from several goroutines at once. s and o must share their
+// Config and the seed their hash functions were drawn from.
+func (s *FastSketch) CopyFrom(o *FastSketch) {
+	if s.cfg != o.cfg {
+		panic("core: copy between incompatible sketches")
+	}
+	s.re.CopyFrom(o.re)
+	s.small.copyFrom(&o.small)
+	s.arr[0].CopyFrom(o.arr[o.cur])
+	s.cur = 0
+	s.aPri, s.tPri, s.b, s.est = o.aPri, o.tPri, o.b, o.est
+	s.failed, s.rescales, s.drains = o.failed, o.rescales, o.drains
+	s.copyPos, s.resetPos = -1, s.cfg.K
+	if o.copyPos < 0 {
+		if s.arr[1] != nil {
+			s.arr[1].Reset()
+		}
+		return
+	}
+	// Finish o's phase in s: resume it over a copy of o's secondary,
+	// then clean the array the swap retires.
+	if s.arr[1] == nil {
+		s.arr[1] = vla.New(s.cfg.K)
+	}
+	s.arr[1].CopyFrom(o.arr[1-o.cur])
+	s.copyPos, s.bPend, s.aSec, s.tSec = o.copyPos, o.bPend, o.aSec, o.tSec
+	s.advanceCopy(s.cfg.K)
+	s.advanceReset(s.cfg.K)
+}
+
 // Reset returns the sketch to its freshly constructed state without
 // redrawing hash functions, so a scratch sketch can be pooled and
 // reused across merge-and-estimate passes.
 func (s *FastSketch) Reset() {
 	s.arr[0].Reset()
-	s.arr[1].Reset()
+	if s.arr[1] != nil {
+		s.arr[1].Reset()
+	}
 	s.cur = 0
 	s.aPri, s.tPri = 0, 0
 	s.b, s.est = 0, 0
@@ -546,11 +587,18 @@ func (s *FastSketch) SeedBits() int {
 }
 
 // SpaceBits reports the accounted footprint: both counter arrays (the
-// secondary exists throughout, as in the paper's primary/secondary
-// scheme), hash seeds, the rough estimator, the small-F0 structure,
-// the logarithm table, and O(1) words of bookkeeping.
+// secondary exists throughout in the paper's primary/secondary
+// scheme; until the first phase allocates it, it is charged as the
+// all-zero array it starts as), hash seeds, the rough estimator, the
+// small-F0 structure, the logarithm table, and O(1) words of
+// bookkeeping.
 func (s *FastSketch) SpaceBits() int {
-	total := s.arr[0].SpaceBits() + s.arr[1].SpaceBits()
+	total := s.arr[0].SpaceBits()
+	if s.arr[1] != nil {
+		total += s.arr[1].SpaceBits()
+	} else {
+		total += vla.EmptyBits(s.cfg.K)
+	}
 	total += s.h1.SeedBits() + s.h2.SeedBits() + s.h3.SeedBits()
 	total += s.re.SpaceBits()
 	total += s.small.spaceBits(s.cfg.LogN)

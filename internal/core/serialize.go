@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/bitutil"
+	"repro/internal/vla"
 )
 
 // Sketch serialization: the dynamic state only. Hash functions are
@@ -81,10 +82,18 @@ func (s *FastSketch) AppendState(w *binenc.Writer) {
 	if s.resetPos < s.cfg.K {
 		s.advanceReset(s.cfg.K)
 	}
+	// The Uints encoding of the primary's counters, written a block at
+	// a time without an intermediate slice of K counters.
 	w.Uvarint(uint64(s.cfg.K))
-	cs := make([]uint64, s.cfg.K)
-	s.arr[s.cur].DecodeRange(0, cs)
-	w.Uints(cs)
+	w.Uvarint(uint64(s.cfg.K))
+	w.Buf = slices.Grow(w.Buf, s.cfg.K)
+	var vals [vla.BlockSize]uint64
+	for lo := 0; lo < s.cfg.K; lo += vla.BlockSize {
+		s.arr[s.cur].DecodeRange(lo, vals[:])
+		for _, v := range vals {
+			w.Uvarint(v)
+		}
+	}
 	w.Varint(int64(s.b))
 	w.Varint(int64(s.est))
 	w.Bool(s.failed)
@@ -95,12 +104,18 @@ func (s *FastSketch) AppendState(w *binenc.Writer) {
 }
 
 // RestoreState loads state produced by AppendState into a sketch built
-// from the same Config and seed.
+// from the same Config and seed. Every check runs before the counter
+// array is written, and the counters are read straight from the
+// encoded run into the array in one payload allocation: AppendState
+// writes every counter in one byte, so a counter written in more is
+// rejected with the rest of the corrupt input.
 func (s *FastSketch) RestoreState(r *binenc.Reader) error {
 	if k := r.Uvarint(); r.Err() == nil && int(k) != s.cfg.K {
 		return binenc.ErrCorrupt
 	}
-	cs := r.Uints(s.cfg.K)
+	// A counter holds C+1 with C = lvl − b ≤ LogN; anything larger is
+	// corrupt.
+	run := r.UvarintsView(s.cfg.K, uint64(s.cfg.LogN)+1)
 	b := r.Varint()
 	est := r.Varint()
 	failed := r.Bool()
@@ -115,29 +130,30 @@ func (s *FastSketch) RestoreState(r *binenc.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(cs) != s.cfg.K || b < 0 || est < 0 || est > 63 || b > int64(s.offsetFor(int(est))) {
+	if b < 0 || est < 0 || est > 63 || b > int64(s.offsetFor(int(est))) {
 		// est is the log of a uint64 estimate; an offset past the one
 		// est calls for would make the next rescale shift counters up.
 		return binenc.ErrCorrupt
 	}
-	s.aPri, s.tPri = 0, 0
-	for _, v := range cs {
-		// A counter holds C+1 with C = lvl − b ≤ LogN; anything larger
-		// is corrupt (and past 60 bits the VLA could not hold it).
-		if v > uint64(s.cfg.LogN)+1 {
-			return binenc.ErrCorrupt
-		}
-		if v > 0 {
-			s.tPri++
-		}
-		s.aPri += int(bitutil.CeilLog2(v + 1))
-	}
-	s.arr[s.cur].EncodeRange(0, cs)
+	s.aPri, s.tPri = counterSums(run)
+	vla.Load(s.arr[s.cur], run)
 	s.b, s.est = int(b), int(est)
 	s.failed = failed
 	s.rescales = int(rescales)
 	s.drains = int(drains)
 	return nil
+}
+
+// counterSums returns the accumulators A and T of stored counters
+// (C+1 each).
+func counterSums(cs []byte) (a, t int) {
+	for _, v := range cs {
+		if v > 0 {
+			t++
+		}
+		a += int(bitutil.CeilLog2(uint64(v) + 1))
+	}
+	return a, t
 }
 
 // appendState serializes the small-F0 companion. The exact-key set is

@@ -79,6 +79,19 @@ func (s *Sketch) Blank() *Sketch {
 // K returns the counter count (the paper's K = 1/ε²).
 func (s *Sketch) K() int { return s.cfg.K }
 
+// CopyFrom overwrites s's counter state with o's (see
+// FastSketch.CopyFrom; the reference sketch has no phases to finish).
+func (s *Sketch) CopyFrom(o *Sketch) {
+	if s.cfg != o.cfg {
+		panic("core: copy between incompatible sketches")
+	}
+	s.re.CopyFrom(o.re)
+	s.small.copyFrom(&o.small)
+	copy(s.c, o.c)
+	s.a, s.b, s.est, s.tOcc = o.a, o.b, o.est, o.tOcc
+	s.failed, s.rescales = o.failed, o.rescales
+}
+
 // Add processes stream item key (Figure 3, step 6).
 func (s *Sketch) Add(key uint64) {
 	lvl := int(bitutil.LSB(s.h1.HashField(key)&s.keyMask, s.cfg.LogN))

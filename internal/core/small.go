@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 
 	"repro/internal/ballsbins"
@@ -80,6 +81,14 @@ func (s *smallF0) mergeFrom(o *smallF0) {
 			return
 		}
 	}
+}
+
+// copyFrom makes s equal to o, reusing s's storage.
+func (s *smallF0) copyFrom(o *smallF0) {
+	clear(s.exact)
+	maps.Copy(s.exact, o.exact)
+	s.overflow = o.overflow
+	s.bv.CopyFrom(o.bv)
 }
 
 // reset clears the structure for reuse (see FastSketch.Reset).

@@ -86,6 +86,30 @@ func NewExactSmallL0(c int, delta float64, logMM uint, rng *rand.Rand) *ExactSma
 	return e
 }
 
+// blank returns a fresh structure over e's hash functions and prime.
+func (e *ExactSmallL0) blank() *ExactSmallL0 {
+	b := &ExactSmallL0{
+		c:       e.c,
+		buckets: e.buckets,
+		fp:      e.fp,
+		hs:      e.hs,
+		cnt:     make([][]uint64, len(e.cnt)),
+		nonzero: make([]int, len(e.nonzero)),
+	}
+	for t := range b.cnt {
+		b.cnt[t] = make([]uint64, e.buckets)
+	}
+	return b
+}
+
+// copyFrom makes e's counters equal to o's.
+func (e *ExactSmallL0) copyFrom(o *ExactSmallL0) {
+	for t := range e.cnt {
+		copy(e.cnt[t], o.cnt[t])
+	}
+	copy(e.nonzero, o.nonzero)
+}
+
 // Update processes the turnstile update x_key ← x_key + v in O(1)
 // (trials are a constant depending only on δ).
 func (e *ExactSmallL0) Update(key uint64, v int64) {

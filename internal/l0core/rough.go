@@ -130,6 +130,33 @@ func NewRoughL0(cfg RoughL0Config, rng *rand.Rand) *RoughL0Estimator {
 	return e
 }
 
+// blank returns a fresh estimator over e's hash functions and prime.
+func (e *RoughL0Estimator) blank() *RoughL0Estimator {
+	b := *e
+	b.cnt = make([][][]uint64, len(e.cnt))
+	b.nonzero = make([][]int, len(e.nonzero))
+	for j := range b.cnt {
+		b.cnt[j] = make([][]uint64, len(e.bucketH))
+		b.nonzero[j] = make([]int, len(e.bucketH))
+		for t := range b.cnt[j] {
+			b.cnt[j][t] = make([]uint64, e.buckets)
+		}
+	}
+	b.z = 0
+	return &b
+}
+
+// copyFrom makes e's counters and report word equal to o's.
+func (e *RoughL0Estimator) copyFrom(o *RoughL0Estimator) {
+	for j := range e.cnt {
+		for t := range e.cnt[j] {
+			copy(e.cnt[j][t], o.cnt[j][t])
+		}
+		copy(e.nonzero[j], o.nonzero[j])
+	}
+	e.z = o.z
+}
+
 // Update processes the turnstile update x_key ← x_key + v in O(1)
 // (one level, constant trials).
 func (e *RoughL0Estimator) Update(key uint64, v int64) {

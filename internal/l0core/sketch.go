@@ -138,6 +138,47 @@ func NewSketch(cfg Config, rng *rand.Rand) *Sketch {
 	return s
 }
 
+// Blank returns a fresh sketch over s's hash functions, prime and
+// vector u: s's configuration, new zero counters. Nothing writes the
+// shared parts after NewSketch, so sketches sharing them may run on
+// different goroutines.
+func (s *Sketch) Blank() *Sketch {
+	k := s.cfg.K
+	levels := len(s.rows)
+	b := &Sketch{
+		cfg: s.cfg,
+		h1:  s.h1, h2: s.h2, h3: s.h3, h4: s.h4,
+		fp: s.fp, u: s.u,
+		rows:   make([][]uint64, levels),
+		rowNZ:  make([]int, levels),
+		smallC: make([]uint64, 2*k),
+		exact:  s.exact.blank(),
+		rough:  s.rough.blank(),
+	}
+	cells := make([]uint64, levels*k)
+	for r := range b.rows {
+		b.rows[r] = cells[r*k : (r+1)*k : (r+1)*k]
+	}
+	return b
+}
+
+// CopyFrom overwrites s's counters with o's, reusing s's storage. s and
+// o must share their Config and the seed their randomness was drawn
+// from; o is only read.
+func (s *Sketch) CopyFrom(o *Sketch) {
+	if s.cfg != o.cfg || s.fp.P != o.fp.P {
+		panic("l0core: copy between incompatible sketches")
+	}
+	for r := range s.rows {
+		copy(s.rows[r], o.rows[r])
+	}
+	copy(s.rowNZ, o.rowNZ)
+	copy(s.smallC, o.smallC)
+	s.smallNZ = o.smallNZ
+	s.exact.copyFrom(o.exact)
+	s.rough.copyFrom(o.rough)
+}
+
 // ExactCap is the exact-counting bound of the small-L0 regime
 // (Section 4's "detecting and estimating when L0 ≤ 100").
 const ExactCap = 100

@@ -140,17 +140,34 @@ func Draw(cfg Config, rng *rand.Rand) *Estimator {
 // sharing them may run on different goroutines.
 func (e *Estimator) Blank() *Estimator {
 	b := &Estimator{logN: e.logN, kre: e.kre, thresh: e.thresh}
+	nt := int(b.logN) + 2
+	cs := make([]int8, len(b.subs)*b.kre)
+	for i := range cs {
+		cs[i] = -1
+	}
+	ts := make([]uint32, len(b.subs)*nt)
 	for j := range b.subs {
 		s := &b.subs[j]
 		s.h1, s.h2, s.h3 = e.subs[j].h1, e.subs[j].h2, e.subs[j].h3
-		s.c = make([]int8, b.kre)
-		for i := range s.c {
-			s.c[i] = -1
-		}
-		s.t = make([]uint32, b.logN+2)
+		s.c = cs[j*b.kre : (j+1)*b.kre : (j+1)*b.kre]
+		s.t = ts[j*nt : (j+1)*nt : (j+1)*nt]
 		s.r = -1
 	}
 	return b
+}
+
+// CopyFrom makes e's counters, occupancy counts and cursors equal to
+// o's. Both must have the same configuration; o is only read.
+func (e *Estimator) CopyFrom(o *Estimator) {
+	if e.kre != o.kre || e.logN != o.logN {
+		panic("rough: copy between incompatible estimators")
+	}
+	for j := range e.subs {
+		s, os := &e.subs[j], &o.subs[j]
+		copy(s.c, os.c)
+		copy(s.t, os.t)
+		s.r = os.r
+	}
 }
 
 // KRE returns the per-sub-estimator counter count.

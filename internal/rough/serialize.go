@@ -15,16 +15,15 @@ func (e *Estimator) AppendState(w *binenc.Writer) {
 	w.Uvarint(uint64(e.logN))
 	for j := range e.subs {
 		s := &e.subs[j]
-		cs := make([]uint64, len(s.c))
-		for i, c := range s.c {
-			cs[i] = uint64(c + 1) // −1 → 0 keeps the varints tiny
+		// The Uints encoding, written without an intermediate slice.
+		w.Uvarint(uint64(len(s.c)))
+		for _, c := range s.c {
+			w.Uvarint(uint64(c + 1)) // −1 → 0 keeps the varints tiny
 		}
-		w.Uints(cs)
-		ts := make([]uint64, len(s.t))
-		for i, t := range s.t {
-			ts[i] = uint64(t)
+		w.Uvarint(uint64(len(s.t)))
+		for _, t := range s.t {
+			w.Uvarint(uint64(t))
 		}
-		w.Uints(ts)
 		w.Varint(int64(s.r))
 	}
 }

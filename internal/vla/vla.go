@@ -81,14 +81,16 @@ func (b *block) setCode(slot int, c uint64) {
 }
 
 // bitOffset returns the payload bit position where slot's entry starts:
-// the sum of preceding entries' lengths. BlockSize is constant, so this
-// is O(1) word operations.
+// the sum of preceding entries' lengths, one word operation chain.
 func (b *block) bitOffset(slot int) uint {
-	off := uint(0)
-	for s := 0; s < slot; s++ {
-		off += uint(b.code(s)) * granule
-	}
-	return off
+	return codeSum(b.codes&(1<<(4*uint(slot))-1)) * granule
+}
+
+// codeSum adds up the sixteen 4-bit length codes packed in codes.
+func codeSum(codes uint64) uint {
+	const lo = 0x0f0f0f0f0f0f0f0f
+	pairs := codes&lo + codes>>4&lo // eight byte lanes, each ≤ 30
+	return uint(pairs * 0x0101010101010101 >> 56)
 }
 
 // Read returns entry i.
@@ -144,10 +146,7 @@ func (a *Array) EncodeRange(lo int, src []uint64) {
 	for i := 0; i < len(src); i += BlockSize {
 		vals := (*[BlockSize]uint64)(src[i:])
 		b := &a.blocks[bi]
-		b.codes = 0
-		for s, v := range vals {
-			b.codes |= codeFor(v) << (4 * uint(s))
-		}
+		b.setCodes(vals)
 		b.pack(vals)
 		bi++
 	}
@@ -172,45 +171,116 @@ func (a *Array) blockRange(lo, n int) int {
 	return lo / BlockSize
 }
 
-// decode unpacks the block's entries into vals.
+// decode unpacks the block's entries into vals, visiting only the
+// nonzero ones (counter arrays are mostly empty).
 func (b *block) decode(vals *[BlockSize]uint64) {
-	if b.codes == 0 {
-		*vals = [BlockSize]uint64{}
-		return
-	}
+	*vals = [BlockSize]uint64{}
 	off := uint(0)
-	for s := range vals {
-		n := uint(b.code(s)) * granule
-		if n > 0 {
-			vals[s] = extractBits(b.data, off, n)
-		} else {
-			vals[s] = 0
-		}
+	for c := b.codes; c != 0; {
+		shift := uint(bits.TrailingZeros64(c)) &^ 3
+		n := uint(c>>shift&0xF) * granule
+		vals[shift/4] = extractBits(b.data, off, n)
 		off += n
+		c &^= 0xF << shift
 	}
 }
 
 // pack rewrites the block's payload to hold vals under its current
 // length codes, reusing the payload storage when it is large enough.
 func (b *block) pack(vals *[BlockSize]uint64) {
-	total := uint(0)
-	for s := 0; s < BlockSize; s++ {
-		total += uint(b.code(s)) * granule
-	}
-	words := int((total + 63) / 64)
+	words := b.words()
 	if cap(b.data) < words {
 		b.data = make([]uint64, words, words+2)
 	} else {
 		b.data = b.data[:words]
 		clear(b.data)
 	}
-	off := uint(0)
+	b.deposit(vals)
+}
+
+// words returns the payload words the block's length codes call for.
+func (b *block) words() int { return int((codeSum(b.codes)*granule + 63) / 64) }
+
+// setCodes sets every length code from vals.
+func (b *block) setCodes(vals *[BlockSize]uint64) {
+	b.codes = 0
 	for s, v := range vals {
-		n := uint(b.code(s)) * granule
-		if n > 0 {
-			depositBits(b.data, off, n, v)
-		}
+		b.codes |= codeFor(v) << (4 * uint(s))
+	}
+}
+
+// deposit writes vals into the block's zeroed payload under its
+// current length codes, visiting only the nonzero ones.
+func (b *block) deposit(vals *[BlockSize]uint64) {
+	off := uint(0)
+	for c := b.codes; c != 0; {
+		shift := uint(bits.TrailingZeros64(c)) &^ 3
+		n := uint(c>>shift&0xF) * granule
+		depositBits(b.data, off, n, vals[shift/4])
 		off += n
+		c &^= 0xF << shift
+	}
+}
+
+// CopyFrom makes a's entries equal to src's. Each block reuses its own
+// payload storage when that is large enough; the blocks it is not
+// large enough for share one new allocation, so a copy into a fresh
+// array allocates once. The arrays must have the same length.
+func (a *Array) CopyFrom(src *Array) {
+	if a.n != src.n {
+		panic(fmt.Sprintf("vla: copy of a %d-entry array into a %d-entry one", src.n, a.n))
+	}
+	need := 0
+	for i := range src.blocks {
+		if n := len(src.blocks[i].data); n > cap(a.blocks[i].data) {
+			need += n
+		}
+	}
+	var pool []uint64
+	if need > 0 {
+		pool = make([]uint64, need)
+	}
+	for i := range src.blocks {
+		sb, db := &src.blocks[i], &a.blocks[i]
+		db.codes = sb.codes
+		n := len(sb.data)
+		if n > cap(db.data) {
+			db.data, pool = pool[:n:n], pool[n:]
+		} else {
+			db.data = db.data[:n]
+		}
+		copy(db.data, sb.data)
+	}
+}
+
+// Load sets every entry from src, one byte-sized value per entry (the
+// form a decoder holds counters in), packing all blocks' payloads into
+// one allocation. len(src) must be Len, a multiple of BlockSize.
+func Load(a *Array, src []byte) {
+	if len(src) != a.n {
+		panic(fmt.Sprintf("vla: loading %d values into a %d-entry array", len(src), a.n))
+	}
+	a.blockRange(0, a.n)
+	var vals [BlockSize]uint64
+	words := 0
+	for bi := range a.blocks {
+		for i, v := range src[bi*BlockSize : (bi+1)*BlockSize] {
+			vals[i] = uint64(v)
+		}
+		a.blocks[bi].setCodes(&vals)
+		words += a.blocks[bi].words()
+	}
+	pool := make([]uint64, words)
+	for bi := range a.blocks {
+		b := &a.blocks[bi]
+		n := b.words()
+		b.data, pool = pool[:n:n], pool[n:]
+		if n > 0 {
+			for i, v := range src[bi*BlockSize : (bi+1)*BlockSize] {
+				vals[i] = uint64(v)
+			}
+			b.deposit(&vals)
+		}
 	}
 }
 
@@ -219,10 +289,7 @@ func (b *block) pack(vals *[BlockSize]uint64) {
 func (a *Array) PayloadBits() int {
 	total := 0
 	for bi := range a.blocks {
-		b := &a.blocks[bi]
-		for s := 0; s < BlockSize; s++ {
-			total += int(b.code(s)) * granule
-		}
+		total += int(codeSum(a.blocks[bi].codes)) * granule
 	}
 	return total
 }
@@ -237,6 +304,10 @@ func (a *Array) SpaceBits() int {
 	}
 	return total
 }
+
+// EmptyBits returns SpaceBits of an n-entry array whose entries are
+// all zero.
+func EmptyBits(n int) int { return 64 * ((n + BlockSize - 1) / BlockSize) }
 
 // Reset zeroes every entry, releasing payload storage.
 func (a *Array) Reset() {

@@ -48,6 +48,29 @@ func newL0From(cfg settings) *L0 {
 	return l
 }
 
+// blank returns a fresh sketch over l's hash functions.
+func (l *L0) blank() *L0 {
+	b := &L0{cfg: l.cfg}
+	for _, s := range l.copies {
+		b.copies = append(b.copies, s.Blank())
+	}
+	return b
+}
+
+// copyFrom overwrites l's counters with src's (see F0.copyFrom).
+func (l *L0) copyFrom(src *L0) {
+	for i, s := range l.copies {
+		s.CopyFrom(src.copies[i])
+	}
+}
+
+// clone returns a native copy of l (see F0.clone).
+func (l *L0) clone() *L0 {
+	c := l.blank()
+	c.copyFrom(l)
+	return c
+}
+
 // Update applies x_key ← x_key + delta. Deltas of either sign are
 // supported; a zero delta is a no-op.
 func (l *L0) Update(key uint64, delta int64) {

@@ -107,11 +107,17 @@ func readVersion(r *binenc.Reader, what string) (uint64, error) {
 // restoreFrame decodes one length-prefixed frame with fn, requiring fn
 // to consume the frame exactly.
 func restoreFrame(r *binenc.Reader, fn func(*binenc.Reader) error) error {
-	frame := r.Bytes()
+	frame := r.BytesView()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	sub := binenc.Reader{Buf: frame}
+	return restoreSection(frame, fn)
+}
+
+// restoreSection decodes one section (a frame's contents) with fn,
+// requiring fn to consume it exactly. fn copies what it keeps.
+func restoreSection(sec []byte, fn func(*binenc.Reader) error) error {
+	sub := binenc.Reader{Buf: sec}
 	if err := fn(&sub); err != nil {
 		return err
 	}
@@ -124,20 +130,23 @@ func restoreFrame(r *binenc.Reader, fn func(*binenc.Reader) error) error {
 	return nil
 }
 
-// appendCopyFrames writes each copy's state as a length-prefixed frame
-// (the version-2 section layout). One scratch buffer is reused across
-// copies.
+// appendFrame writes one copy's state as a length-prefixed frame (the
+// version-2 section layout), encoded in place.
+func appendFrame(w *binenc.Writer, appendState func(*binenc.Writer)) {
+	w.Frame(func(buf []byte) []byte {
+		cw := binenc.Writer{Buf: buf}
+		appendState(&cw)
+		return cw.Buf
+	})
+}
+
+// appendCopyFrames writes each copy's state as a frame.
 func (f *F0) appendCopyFrames(w *binenc.Writer) {
-	var cw binenc.Writer
 	for _, s := range f.fast {
-		cw.Buf = cw.Buf[:0]
-		s.AppendState(&cw)
-		w.Bytes(cw.Buf)
+		appendFrame(w, s.AppendState)
 	}
 	for _, s := range f.ref {
-		cw.Buf = cw.Buf[:0]
-		s.AppendState(&cw)
-		w.Bytes(cw.Buf)
+		appendFrame(w, s.AppendState)
 	}
 }
 
@@ -193,11 +202,20 @@ func (f *F0) AppendBinary(b []byte) ([]byte, error) {
 func (f *F0) marshalLegacy() []byte { return f.appendLegacy(nil) }
 
 func (f *F0) appendLegacy(buf []byte) []byte {
-	w := binenc.Writer{Buf: buf}
-	w.Uvarint(f0Magic)
-	w.Uvarint(version)
-	appendSettings(&w, f.cfg)
+	w := binenc.Writer{Buf: f.appendHeader(buf)}
 	f.appendCopyFrames(&w)
+	return w.Buf
+}
+
+// appendHeader appends the payload header: everything before the
+// first copy frame.
+func (f *F0) appendHeader(buf []byte) []byte { return appendHeader(buf, f0Magic, f.cfg) }
+
+func appendHeader(buf []byte, magic uint64, cfg settings) []byte {
+	w := binenc.Writer{Buf: buf}
+	w.Uvarint(magic)
+	w.Uvarint(version)
+	appendSettings(&w, cfg)
 	return w.Buf
 }
 
@@ -254,11 +272,8 @@ func (f *F0) unmarshalLegacy(data []byte) error {
 // appendCopyFrames / restoreCopyFrames / restoreCopiesV1: the L0
 // equivalents of the F0 section helpers.
 func (l *L0) appendCopyFrames(w *binenc.Writer) {
-	var cw binenc.Writer
 	for _, s := range l.copies {
-		cw.Buf = cw.Buf[:0]
-		s.AppendState(&cw)
-		w.Bytes(cw.Buf)
+		appendFrame(w, s.AppendState)
 	}
 }
 
@@ -294,13 +309,13 @@ func (l *L0) AppendBinary(b []byte) ([]byte, error) {
 func (l *L0) marshalLegacy() []byte { return l.appendLegacy(nil) }
 
 func (l *L0) appendLegacy(buf []byte) []byte {
-	w := binenc.Writer{Buf: buf}
-	w.Uvarint(l0Magic)
-	w.Uvarint(version)
-	appendSettings(&w, l.cfg)
+	w := binenc.Writer{Buf: l.appendHeader(buf)}
 	l.appendCopyFrames(&w)
 	return w.Buf
 }
+
+// appendHeader appends the payload header (see F0.appendHeader).
+func (l *L0) appendHeader(buf []byte) []byte { return appendHeader(buf, l0Magic, l.cfg) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler for L0.
 // Enveloped, bare version-2, legacy version-1, and retired sharded L0

@@ -1,7 +1,6 @@
 package knw
 
 import (
-	"encoding"
 	"errors"
 	"fmt"
 	"math"
@@ -36,21 +35,33 @@ import (
 // and error budget grow exponentially in k.
 const MaxSetQuery = 8
 
-// Clone deep-copies a wire-kind estimator through its serialized form
-// (MarshalBinary + Open), so the copy shares configuration, seed, and
-// hash draws with the original and the two never alias state. Kinds
-// without an envelope encoding (the experiment baselines) return an
+// Clone deep-copies a wire-kind estimator (*F0 or *L0) without
+// encoding it: the copy shares the original's configuration, seed and
+// hash functions, read-only, and owns its counter state, so the two
+// never alias state. The copy holds what Open would restore from the
+// original's bytes (a deamortized phase in flight is finished in the
+// copy, never in the original, which is only read), so it marshals to
+// the same bytes. Other kinds (the experiment baselines) return an
 // error wrapping ErrIncompatible.
 func Clone(est Estimator) (Estimator, error) {
-	m, ok := est.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, errIncompatible("knw: %s has no envelope encoding to clone through", est.Name())
+	switch e := est.(type) {
+	case *F0:
+		return e.clone(), nil
+	case *L0:
+		return e.clone(), nil
 	}
-	data, err := m.MarshalBinary()
-	if err != nil {
-		return nil, err
+	return nil, errIncompatible("knw: %s has no native copy", est.Name())
+}
+
+// copyInto overwrites dst's counter state with src's; both are
+// same-settings F0s or L0s (Compatible).
+func copyInto(dst, src Estimator) {
+	switch d := dst.(type) {
+	case *F0:
+		d.copyFrom(src.(*F0))
+	case *L0:
+		d.copyFrom(src.(*L0))
 	}
-	return Open(data)
 }
 
 // UnionSketch returns a new sketch summarizing the union of the given
@@ -218,9 +229,14 @@ func (r incExc) jaccard() float64 {
 
 // incExcRun evaluates |∪_{i∈S} Aᵢ| for every non-empty S ⊆ [k] and
 // combines the terms into the intersection estimate. Singleton terms
-// read the argument sketches directly; larger terms clone the first
-// member and merge the rest, so the pass costs O(2^k·k) merges and one
-// live clone at a time.
+// read the argument sketches directly. Larger terms come from a
+// depth-first walk over the subsets in increasing index order: the
+// union for S ∪ {j}, j above every member of S, is a copy of S's
+// union with Aⱼ merged in, held in a k-deep stack of scratch
+// sketches. The pass costs one copy and one merge per subset, and each
+// union is built by merging its members into a copy of the first in
+// index order, so the answers match cloning the first member per
+// subset and merging the rest.
 func incExcRun(sketches []Estimator) (incExc, error) {
 	k := len(sketches)
 	if k < 2 {
@@ -243,29 +259,48 @@ func incExcRun(sketches []Estimator) (incExc, error) {
 		r.cards[i] = v
 	}
 	full := 1<<k - 1
-	for mask := 1; mask <= full; mask++ {
-		var u float64
-		if bits.OnesCount(uint(mask)) == 1 {
-			u = r.cards[bits.TrailingZeros(uint(mask))]
-		} else {
-			first := bits.TrailingZeros(uint(mask))
-			dst, err := Clone(sketches[first])
-			if err != nil {
-				return incExc{}, err
-			}
-			for j := first + 1; j < k; j++ {
-				if mask&(1<<j) == 0 {
-					continue
+	unions := make([]float64, full+1)
+	for i, c := range r.cards {
+		unions[1<<i] = c
+	}
+	stack := make([]Estimator, k-1) // stack[d] holds a (d+2)-member union
+	var walk func(parent Estimator, mask, depth int) error
+	walk = func(parent Estimator, mask, depth int) error {
+		for j := bits.Len(uint(mask)); j < k; j++ {
+			if stack[depth] == nil {
+				c, err := Clone(parent)
+				if err != nil {
+					return err
 				}
-				if err := MergeInto(dst, sketches[j]); err != nil {
-					return incExc{}, err
-				}
+				stack[depth] = c
+			} else {
+				copyInto(stack[depth], parent)
 			}
-			u, err = estimateOf(dst)
+			acc := stack[depth]
+			if err := MergeInto(acc, sketches[j]); err != nil {
+				return err
+			}
+			m := mask | 1<<j
+			u, err := estimateOf(acc)
 			if err != nil {
-				return incExc{}, err
+				return err
+			}
+			unions[m] = u
+			if err := walk(acc, m, depth+1); err != nil {
+				return err
 			}
 		}
+		return nil
+	}
+	for i := 0; i < k-1; i++ {
+		if err := walk(sketches[i], 1<<i, 0); err != nil {
+			return incExc{}, err
+		}
+	}
+	// Sum in mask order, as the terms have always been summed, so the
+	// floating-point answers do not depend on the walk.
+	for mask := 1; mask <= full; mask++ {
+		u := unions[mask]
 		if bits.OnesCount(uint(mask))%2 == 1 {
 			r.inter += u
 		} else {

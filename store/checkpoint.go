@@ -168,18 +168,14 @@ func (s *Store) appendCheckpoint(buf []byte, id uint64) ([]byte, map[string]uint
 			// Entries are never deleted; a name from Names() resolves.
 			return nil, nil, err
 		}
-		v, err := e.appendCheckpoint(s, &w, name)
-		if err != nil {
-			return nil, nil, err
-		}
-		base[name] = v
+		base[name] = e.appendCheckpoint(s, &w, name)
 	}
 	return w.Buf, base, nil
 }
 
 // appendCheckpoint encodes one entry under its lock and returns the
 // entry version the frame captured.
-func (e *entry) appendCheckpoint(s *Store, w *binenc.Writer, name string) (uint64, error) {
+func (e *entry) appendCheckpoint(s *Store, w *binenc.Writer, name string) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.drainLocked(e) // checkpoints must carry every acknowledged write
@@ -187,41 +183,29 @@ func (e *entry) appendCheckpoint(s *Store, w *binenc.Writer, name string) (uint6
 	// holds are then the exact generation the cache's section stamps
 	// describe, so a later delta file's "unchanged since the full
 	// rewrite" is a statement about these bytes, not a re-marshal.
-	if err := s.refreshEncLocked(e); err != nil {
-		return 0, fmt.Errorf("store: checkpointing %q: %w", name, err)
-	}
+	s.refreshEncLocked(e)
 	w.Bytes([]byte(name))
 	w.Uvarint(e.enc.version)
 	w.Bytes(e.enc.full)
-	if err := e.appendWindowLocked(w); err != nil {
-		return 0, fmt.Errorf("store: checkpointing %q window: %w", name, err)
-	}
-	return e.enc.version, nil
+	e.appendWindowLocked(w)
+	return e.enc.version
 }
 
 // appendWindowLocked encodes the windowed flag and, when set, the
 // window ring. Callers hold e.mu.
-func (e *entry) appendWindowLocked(w *binenc.Writer) error {
+func (e *entry) appendWindowLocked(w *binenc.Writer) {
 	w.Bool(e.window != nil)
 	if e.window == nil {
-		return nil
+		return
 	}
 	win := e.window
 	w.Bool(win.started)
 	w.Varint(win.epoch)
 	w.Uvarint(uint64(win.cur))
 	w.Uvarint(uint64(len(win.buckets)))
-	env := envBufs.Get().(*[]byte)
-	defer envBufs.Put(env)
-	var err error
 	for _, b := range win.buckets {
-		*env, err = appendSketch((*env)[:0], b)
-		if err != nil {
-			return err
-		}
-		w.Bytes(*env)
+		w.Frame(func(buf []byte) []byte { return appendSketch(buf, b) })
 	}
-	return nil
 }
 
 // checkpointDeltaLocked writes the cumulative delta file: every entry
@@ -241,11 +225,7 @@ func (s *Store) checkpointDeltaLocked(dir string) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		changed, err := e.appendCheckpointDelta(s, &bw, name)
-		if err != nil {
-			return 0, err
-		}
-		if changed {
+		if e.appendCheckpointDelta(s, &bw, name) {
 			count++
 		}
 	}
@@ -269,18 +249,16 @@ func (s *Store) checkpointDeltaLocked(dir string) (int, error) {
 
 // appendCheckpointDelta encodes one entry's delta-file frame if its
 // version moved past the chain base, reporting whether it wrote one.
-func (e *entry) appendCheckpointDelta(s *Store, w *binenc.Writer, name string) (bool, error) {
+func (e *entry) appendCheckpointDelta(s *Store, w *binenc.Writer, name string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.drainLocked(e)
 	v := e.version.Load()
 	base, inBase := s.ckptBase[name]
 	if inBase && v == base {
-		return false, nil // unchanged since the full rewrite
+		return false // unchanged since the full rewrite
 	}
-	if err := s.refreshEncLocked(e); err != nil {
-		return false, fmt.Errorf("store: checkpointing %q: %w", name, err)
-	}
+	s.refreshEncLocked(e)
 	c := e.enc
 	env := c.full
 	// Window rings are not versioned, so windowed entries always carry
@@ -299,15 +277,9 @@ func (e *entry) appendCheckpointDelta(s *Store, w *binenc.Writer, name string) (
 	w.Bytes([]byte(name))
 	w.Uvarint(c.version)
 	w.Bytes(env)
-	if err := e.appendWindowLocked(w); err != nil {
-		return false, fmt.Errorf("store: checkpointing %q window: %w", name, err)
-	}
-	return true, nil
+	e.appendWindowLocked(w)
+	return true
 }
-
-// envBufs pools the per-sketch envelope scratch the checkpoint writer
-// frames into the file buffer.
-var envBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ErrCorruptCheckpoint is wrapped by every LoadCheckpoint failure that
 // stems from truncated or malformed checkpoint bytes (as opposed to a

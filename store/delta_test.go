@@ -460,10 +460,7 @@ func TestLoneWriterIdentity(t *testing.T) {
 							}
 						}
 					}
-					want, err := appendSketch(nil, ref)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := appendSketch(nil, ref)
 					got, err := s.Snapshot("t/m", nil)
 					if err != nil {
 						t.Fatal(err)
@@ -476,11 +473,8 @@ func TestLoneWriterIdentity(t *testing.T) {
 					}
 					e, _ := s.lookup("t/m", false)
 					e.mu.Lock()
-					bucket, err := appendSketch(nil, e.window.current())
+					bucket := appendSketch(nil, e.window.current())
 					e.mu.Unlock()
-					if err != nil {
-						t.Fatal(err)
-					}
 					if !bytes.Equal(bucket, want) {
 						t.Error("current bucket differs from one sketch fed the same batches")
 					}

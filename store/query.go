@@ -116,25 +116,29 @@ func SpanBuckets(span, interval time.Duration, n int) int {
 }
 
 // BucketSnapshot is one live window bucket: its absolute interval
-// index and its sketch envelope.
+// index and its sketch — a copy of a local bucket, or a peer's decoded
+// envelope.
 type BucketSnapshot struct {
-	Epoch int64
-	Env   []byte
+	Epoch  int64
+	Sketch knw.Estimator
 }
 
 // RingSnapshot is the per-bucket export of a windowed entry — what a
 // peer needs to answer a cluster-wide series: epochs are wall-aligned
 // across same-configured nodes, so buckets union epoch by epoch.
-// Buckets run oldest → newest.
+// Buckets run oldest → newest, and their sketches are caller-owned.
 type RingSnapshot struct {
 	Interval time.Duration
 	Buckets  []BucketSnapshot
 }
 
 // RingSnapshot captures name's live window ring bucket by bucket,
-// rotated to the store clock first. Unlike WindowSnapshot (one merged
-// envelope) it preserves bucket boundaries, at N envelopes of cost; it
-// exists for the cluster series gather and is not a checkpoint format.
+// rotated to the store clock first: native copies of the bucket
+// sketches, taken under the entry lock. Unlike WindowSnapshot (one
+// merged envelope) it preserves bucket boundaries, at N sketches of
+// cost; it exists for the cluster series gather, which reads the local
+// ring in memory and ships Encode's bytes to peers, and it is not a
+// checkpoint format.
 func (s *Store) RingSnapshot(name string) (RingSnapshot, error) {
 	e, err := s.lookup(name, false)
 	if err != nil {
@@ -150,11 +154,11 @@ func (s *Store) RingSnapshot(name string) (RingSnapshot, error) {
 	s.met.rotations.Add(uint64(w.rotate(s.now())))
 	out := RingSnapshot{Interval: w.interval, Buckets: make([]BucketSnapshot, 0, len(w.buckets))}
 	for j := len(w.buckets) - 1; j >= 0; j-- {
-		env, err := appendSketch(nil, w.bucketAt(j))
+		c, err := knw.Clone(w.bucketAt(j))
 		if err != nil {
 			return RingSnapshot{}, err
 		}
-		out.Buckets = append(out.Buckets, BucketSnapshot{Epoch: w.epoch - int64(j), Env: env})
+		out.Buckets = append(out.Buckets, BucketSnapshot{Epoch: w.epoch - int64(j), Sketch: c})
 	}
 	return out, nil
 }
@@ -171,7 +175,9 @@ const (
 	ringVersion = 1
 )
 
-// Encode appends the wire form to buf (which may be nil).
+// Encode appends the wire form to buf (which may be nil), marshaling
+// each bucket's envelope straight into its frame. Bucket sketches are
+// of a wire kind, as every store's are; any other kind panics.
 func (rs RingSnapshot) Encode(buf []byte) []byte {
 	w := binenc.Writer{Buf: buf}
 	w.Uvarint(ringMagic)
@@ -180,13 +186,14 @@ func (rs RingSnapshot) Encode(buf []byte) []byte {
 	w.Uvarint(uint64(len(rs.Buckets)))
 	for _, b := range rs.Buckets {
 		w.Varint(b.Epoch)
-		w.Bytes(b.Env)
+		w.Frame(func(buf []byte) []byte { return appendSketch(buf, b.Sketch) })
 	}
 	return w.Buf
 }
 
-// DecodeRingSnapshot parses a KNWB blob. Envelope bytes are copied out
-// of data, so the caller may recycle the buffer.
+// DecodeRingSnapshot parses a KNWB blob and opens every bucket's
+// envelope, so a peer's ring and a local one share one type. Nothing
+// aliases data, so the caller may recycle the buffer.
 func DecodeRingSnapshot(data []byte) (RingSnapshot, error) {
 	r := binenc.Reader{Buf: data}
 	r.Expect(ringMagic, "ring snapshot magic")
@@ -204,38 +211,35 @@ func DecodeRingSnapshot(data []byte) (RingSnapshot, error) {
 	}
 	rs.Buckets = make([]BucketSnapshot, 0, n)
 	for i := uint64(0); i < n; i++ {
-		rs.Buckets = append(rs.Buckets, BucketSnapshot{Epoch: r.Varint(), Env: r.Bytes()})
-	}
-	if err := r.Err(); err != nil {
-		return RingSnapshot{}, err
+		epoch := r.Varint()
+		env := r.BytesView()
+		if err := r.Err(); err != nil {
+			return RingSnapshot{}, err
+		}
+		est, err := knw.Open(env)
+		if err != nil {
+			return RingSnapshot{}, fmt.Errorf("store: ring snapshot bucket %d: %w", i, err)
+		}
+		rs.Buckets = append(rs.Buckets, BucketSnapshot{Epoch: epoch, Sketch: est})
 	}
 	return rs, nil
 }
 
-// SetQuery opens each named store's snapshot (all-time, or the merged
-// window ring under windowed=true) and runs one inclusion–exclusion
-// pass over them (knw.NewSetStats): the single-node answer behind
-// GET /v1/query. Entry locks are taken one store at a time, so the
-// sketches are a per-store-atomic (not cross-store-atomic) view, like
-// any two independent reads.
+// SetQuery copies each named store's sketch (all-time, or the union of
+// the live window ring under windowed=true; CopySketch) and runs one
+// inclusion–exclusion pass over the copies (knw.NewSetStats): the
+// single-node answer behind GET /v1/query. Entry locks are taken one
+// store at a time, so the sketches are a per-store-atomic (not
+// cross-store-atomic) view, like any two independent reads.
 func (s *Store) SetQuery(names []string, windowed bool) (knw.SetStats, error) {
 	sketches := make([]knw.Estimator, 0, len(names))
-	var buf []byte
 	for _, name := range names {
-		var env []byte
-		var err error
-		if windowed {
-			env, err = s.WindowSnapshot(name, buf[:0])
-		} else {
-			env, err = s.Snapshot(name, buf[:0])
-		}
+		est, _, err := s.CopySketch(name, windowed, 0)
 		if err != nil {
 			return knw.SetStats{}, err
 		}
-		buf = env
-		est, err := knw.Open(env)
-		if err != nil {
-			return knw.SetStats{}, err
+		if est == nil {
+			return knw.SetStats{}, fmt.Errorf("%w %q", ErrNotFound, name)
 		}
 		sketches = append(sketches, est)
 	}

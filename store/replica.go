@@ -14,11 +14,12 @@ import (
 )
 
 // ReplicaSet is a node's merged view of its peers: for every (peer,
-// store) pair the last envelope gossip pulled, held open beside the
-// canonical local Store. Estimates over the set are the union of the
-// local sketch and every replica — the O(1) read path that replaces
-// per-request scatter-gather — and the whole set checkpoints to disk
-// so a restarted node serves a warm view while gossip re-converges.
+// store) pair the sketch decoded from the last envelope or delta
+// gossip pulled, held beside the canonical local Store. Estimates over
+// the set are the union of the local sketch and every replica — the
+// O(1) read path that replaces per-request scatter-gather — and the
+// whole set checkpoints to disk so a restarted node serves a warm view
+// while gossip re-converges.
 //
 // The set is passive storage: cluster/gossip.go drives it (digest →
 // pull → ApplyFull/ApplyDelta). Every applied envelope is validated
@@ -30,12 +31,13 @@ import (
 // full envelope (base 0).
 var ErrStaleBase = errors.New("store: delta base does not match held replica version")
 
-// replica is one (peer, store) envelope: the raw bytes (the delta
-// base for the next apply, and what checkpoints persist) plus the
-// opened estimator estimates merge from.
+// replica is one (peer, store) sketch: the decoded estimator view reads
+// merge from, the base the next delta applies to, and what checkpoints
+// re-encode. It is never written after it is installed — a delta
+// builds a new sketch — so readers share it under rs.mu or a copy of
+// the pointer.
 type replica struct {
 	version uint64
-	env     []byte
 	est     knw.Estimator
 }
 
@@ -144,15 +146,17 @@ func (rs *ReplicaSet) ApplyFull(peer, name string, version uint64, env []byte) e
 		pr = &peerReplicas{stores: make(map[string]*replica)}
 		rs.peers[peer] = pr
 	}
-	pr.stores[name] = &replica{version: version, env: append([]byte(nil), env...), est: est}
+	pr.stores[name] = &replica{version: version, est: est}
 	rs.touch[name]++
 	return nil
 }
 
-// ApplyDelta splices a KNWD delta onto the held (peer, name) replica.
-// A missing replica or a base-version mismatch returns ErrStaleBase
-// (re-pull full); a structurally incompatible or corrupt delta returns
-// the underlying error. The old replica survives any failure.
+// ApplyDelta applies a KNWD delta to the held (peer, name) replica: the
+// new replica is a copy of the held sketch with the delta's changed
+// sections decoded into it (knw.Delta.ApplyTo). A missing replica or a
+// base-version mismatch returns ErrStaleBase (re-pull full); a
+// structurally incompatible or corrupt delta returns the underlying
+// error. The old replica survives any failure.
 func (rs *ReplicaSet) ApplyDelta(peer, name string, delta []byte) error {
 	if err := ValidateName(name); err != nil {
 		return err
@@ -172,18 +176,16 @@ func (rs *ReplicaSet) ApplyDelta(peer, name string, delta []byte) error {
 		return fmt.Errorf("%w (%q from %s: held %d, delta base %d)",
 			ErrStaleBase, name, peer, heldVersion(r), d.Base)
 	}
-	baseEnv := r.env
+	base := r.est
 	rs.mu.Unlock()
 
-	// Splice and validate outside the lock: ApplyDelta allocates and
-	// openCompatible decodes a whole sketch.
-	env, err := knw.ApplyDelta(baseEnv, delta)
+	// Apply outside the lock: it copies the base and decodes the changed
+	// sections. The base was validated against the store template when
+	// it was applied, and the delta's header checksum pins the result to
+	// the base's settings.
+	est, err := d.ApplyTo(base)
 	if err != nil {
-		return err
-	}
-	est, err := rs.st.openCompatible(env)
-	if err != nil {
-		return fmt.Errorf("store: replica %q from %s after delta: %w", name, peer, err)
+		return fmt.Errorf("store: replica %q from %s: applying delta: %w", name, peer, err)
 	}
 
 	rs.mu.Lock()
@@ -198,7 +200,7 @@ func (rs *ReplicaSet) ApplyDelta(peer, name string, delta []byte) error {
 	if r == nil || r.version != d.Base {
 		return fmt.Errorf("%w (%q from %s: concurrent apply)", ErrStaleBase, name, peer)
 	}
-	pr.stores[name] = &replica{version: d.Next, env: env, est: est}
+	pr.stores[name] = &replica{version: d.Next, est: est}
 	rs.touch[name]++
 	return nil
 }
@@ -211,39 +213,63 @@ func heldVersion(r *replica) uint64 {
 }
 
 // Estimate serves the merged local+replica estimate for name. The
-// local store is read through a versioned snapshot (which drains, so
-// the view keeps read-your-writes for local ingest); the merge across
-// replicas is memoized and only recomputed when the local version or
-// the replica set actually changed. ErrNotFound means neither the
-// local store nor any replica holds the name.
+// local store's drained total is copied under its entry lock (keeping
+// read-your-writes for local ingest), and the replicas are merged into
+// that copy. The result is memoized and only recomputed when the local
+// version or the replica set actually changed; a memo hit takes no
+// copy. ErrNotFound means neither the local store nor any replica
+// holds the name.
 func (rs *ReplicaSet) Estimate(name string) (ViewEstimate, error) {
-	local, err := rs.localSnapshot(name)
-	if err != nil {
-		return ViewEstimate{}, err
+	skip := rs.memoVersion(name)
+	for {
+		// The entry lock is held only inside CopySketch, never with rs.mu.
+		local, ver, err := rs.st.CopySketch(name, false, skip)
+		if err != nil {
+			return ViewEstimate{}, err
+		}
+		rs.mu.Lock()
+		if c, ok := rs.cache[name]; ok && c.localVer == ver && c.touch == rs.touch[name] {
+			rs.mu.Unlock()
+			return c.out, nil
+		}
+		if local == nil && ver != 0 {
+			// The copy was skipped for a memo a replica apply has since
+			// invalidated: take it after all.
+			rs.mu.Unlock()
+			skip = 0
+			continue
+		}
+		_, out, err := rs.mergeLocked(name, local)
+		if err == nil {
+			rs.cache[name] = viewCache{localVer: ver, touch: rs.touch[name], out: out}
+		}
+		rs.mu.Unlock()
+		return out, err
 	}
+}
+
+// memoVersion returns the local version name's memo was computed at
+// while the memo still covers the current replicas, and 0 otherwise.
+func (rs *ReplicaSet) memoVersion(name string) uint64 {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if c, ok := rs.cache[name]; ok && c.localVer == local.Version && c.touch == rs.touch[name] {
-		return c.out, nil
+	if c, ok := rs.cache[name]; ok && c.touch == rs.touch[name] {
+		return c.localVer
 	}
-	_, out, err := rs.mergeLocked(name, local)
-	if err != nil {
-		return ViewEstimate{}, err
-	}
-	rs.cache[name] = viewCache{localVer: local.Version, touch: rs.touch[name], out: out}
-	return out, nil
+	return 0
 }
 
 // MergedSketch builds a fresh estimator holding the union of the local
 // store's sketch and every held replica for name — the sketch-valued
 // counterpart of Estimate, for set-algebra reads over the O(1) gossip
-// view (the cluster's /v1/query mode=local). The returned sketch is
-// freshly opened and caller-owned; nothing aliases held replicas, so
-// the caller may merge or diff it freely. Unlike Estimate the result
-// is not memoized: a shared cached sketch could not be handed out for
-// mutation.
+// view (the cluster's /v1/query mode=local). The returned sketch is a
+// copy of the local total (or of a replica, when the local store does
+// not hold the name) with the replicas merged in; nothing aliases held
+// state, so the caller may merge or diff it freely. Unlike Estimate
+// the result is not memoized: a shared cached sketch could not be
+// handed out for mutation.
 func (rs *ReplicaSet) MergedSketch(name string) (knw.Estimator, ViewEstimate, error) {
-	local, err := rs.localSnapshot(name)
+	local, _, err := rs.st.CopySketch(name, false, 0)
 	if err != nil {
 		return nil, ViewEstimate{}, err
 	}
@@ -252,28 +278,12 @@ func (rs *ReplicaSet) MergedSketch(name string) (knw.Estimator, ViewEstimate, er
 	return rs.mergeLocked(name, local)
 }
 
-// localSnapshot reads the local store's full envelope for name. A
-// store that does not hold the name yields a zero DeltaSnap (nil Env,
-// version 0), not an error.
-func (rs *ReplicaSet) localSnapshot(name string) (DeltaSnap, error) {
-	ds, err := rs.st.DeltaSnapshot(name, 0, false)
-	if errors.Is(err, ErrNotFound) {
-		return DeltaSnap{}, nil
-	}
-	return ds, err
-}
-
-// mergeLocked opens the local envelope and merges every held replica
-// of name into it, returning the fresh sketch and its view report.
+// mergeLocked merges every held replica of name into local (a
+// caller-owned copy of the local total, or nil when the local store
+// does not hold the name), returning the union and its view report.
 // Callers hold rs.mu.
-func (rs *ReplicaSet) mergeLocked(name string, local DeltaSnap) (knw.Estimator, ViewEstimate, error) {
-	var acc knw.Estimator
-	if local.Env != nil {
-		var err error
-		if acc, err = knw.Open(local.Env); err != nil {
-			return nil, ViewEstimate{}, err
-		}
-	}
+func (rs *ReplicaSet) mergeLocked(name string, local knw.Estimator) (knw.Estimator, ViewEstimate, error) {
+	acc := local
 	replicas := 0
 	for _, pr := range rs.peers {
 		r := pr.stores[name]
@@ -284,13 +294,13 @@ func (rs *ReplicaSet) mergeLocked(name string, local DeltaSnap) (knw.Estimator, 
 		// bugs; reads degrade to the remaining contributions rather than
 		// erroring.
 		if acc == nil {
-			// Open a fresh copy from the raw envelope: the accumulator is
-			// mutated by later merges and must never be a held replica.
-			fresh, err := knw.Open(r.env)
+			// The accumulator is mutated by later merges and must never
+			// be a held replica.
+			c, err := knw.Clone(r.est)
 			if err != nil {
 				continue
 			}
-			acc = fresh
+			acc = c
 		} else if err := knw.MergeInto(acc, r.est); err != nil {
 			continue
 		}
@@ -299,7 +309,7 @@ func (rs *ReplicaSet) mergeLocked(name string, local DeltaSnap) (knw.Estimator, 
 	if acc == nil {
 		return nil, ViewEstimate{}, fmt.Errorf("%w %q", ErrNotFound, name)
 	}
-	return acc, ViewEstimate{AllTime: acc.Estimate(), Replicas: replicas, LocalFound: local.Env != nil}, nil
+	return acc, ViewEstimate{AllTime: acc.Estimate(), Replicas: replicas, LocalFound: local != nil}, nil
 }
 
 // DropPeer discards every replica held for one peer and returns how
@@ -348,7 +358,7 @@ func (rs *ReplicaSet) Stats() (peers, replicas int) {
 //	  per store (sorted by name):
 //	    bytes   name
 //	    uvarint version
-//	    bytes   envelope
+//	    bytes   envelope (the held sketch, re-encoded)
 const (
 	replicaMagic   = 0x4b4e5752 // "KNWR"
 	replicaVersion = 1
@@ -358,38 +368,49 @@ const (
 )
 
 // Checkpoint atomically writes the replica view to dir/replicas.knwr.
+// The held sketches are collected under rs.mu and encoded outside it:
+// they are never written after apply, so encoding reads them safely
+// while gossip keeps applying.
 func (rs *ReplicaSet) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	type heldReplica struct {
+		name string
+		r    *replica
+	}
+	type heldPeer struct {
+		url      string
+		instance uint64
+		stores   []heldReplica
+	}
 	rs.mu.Lock()
+	peers := make([]heldPeer, 0, len(rs.peers))
+	for url, pr := range rs.peers {
+		hp := heldPeer{url: url, instance: pr.instance, stores: make([]heldReplica, 0, len(pr.stores))}
+		for name, r := range pr.stores {
+			hp.stores = append(hp.stores, heldReplica{name, r})
+		}
+		peers = append(peers, hp)
+	}
+	rs.mu.Unlock()
+
+	sort.Slice(peers, func(i, j int) bool { return peers[i].url < peers[j].url })
 	w := binenc.Writer{}
 	w.Uvarint(replicaMagic)
 	w.Uvarint(replicaVersion)
-	w.Uvarint(uint64(len(rs.peers)))
-	peers := make([]string, 0, len(rs.peers))
-	for peer := range rs.peers {
-		peers = append(peers, peer)
-	}
-	sort.Strings(peers)
-	for _, peer := range peers {
-		pr := rs.peers[peer]
-		w.Bytes([]byte(peer))
-		w.Uvarint(pr.instance)
-		w.Uvarint(uint64(len(pr.stores)))
-		names := make([]string, 0, len(pr.stores))
-		for name := range pr.stores {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			r := pr.stores[name]
-			w.Bytes([]byte(name))
-			w.Uvarint(r.version)
-			w.Bytes(r.env)
+	w.Uvarint(uint64(len(peers)))
+	for _, hp := range peers {
+		w.Bytes([]byte(hp.url))
+		w.Uvarint(hp.instance)
+		w.Uvarint(uint64(len(hp.stores)))
+		sort.Slice(hp.stores, func(i, j int) bool { return hp.stores[i].name < hp.stores[j].name })
+		for _, h := range hp.stores {
+			w.Bytes([]byte(h.name))
+			w.Uvarint(h.r.version)
+			w.Frame(func(buf []byte) []byte { return appendSketch(buf, h.r.est) })
 		}
 	}
-	rs.mu.Unlock()
 	return writeFileAtomic(filepath.Join(dir, ReplicaFile), w.Buf)
 }
 
@@ -434,7 +455,7 @@ func (rs *ReplicaSet) LoadCheckpoint(dir string) (int, error) {
 		for i := uint64(0); i < storeCount; i++ {
 			name := string(r.BytesView())
 			version := r.Uvarint()
-			env := r.Bytes()
+			env := r.BytesView()
 			if err := r.Err(); err != nil {
 				return 0, fmt.Errorf("%w: bad replica frame: %v", ErrCorruptCheckpoint, err)
 			}
@@ -448,7 +469,7 @@ func (rs *ReplicaSet) LoadCheckpoint(dir string) (int, error) {
 			if err != nil {
 				return 0, wrapEntryErr(name, err)
 			}
-			pr.stores[name] = &replica{version: version, env: env, est: est}
+			pr.stores[name] = &replica{version: version, est: est}
 			total++
 		}
 		staged[peer] = pr

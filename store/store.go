@@ -9,6 +9,7 @@
 package store
 
 import (
+	"encoding"
 	"errors"
 	"fmt"
 	"sort"
@@ -450,14 +451,75 @@ func (s *Store) MergeWindow(name string, envelope []byte) error {
 // or PUT back through Restore. It returns ErrNotFound for
 // never-written names.
 func (s *Store) Snapshot(name string, buf []byte) ([]byte, error) {
+	env, _, err := s.snapshot(name, buf, false)
+	return env, err
+}
+
+// SnapshotEstimate is Snapshot plus the all-time estimate of the state
+// the envelope holds, read under the same entry lock — what cluster
+// handoff counts as the key mass it ships, without reopening the
+// envelope.
+func (s *Store) SnapshotEstimate(name string, buf []byte) ([]byte, float64, error) {
+	return s.snapshot(name, buf, true)
+}
+
+func (s *Store) snapshot(name string, buf []byte, estimate bool) ([]byte, float64, error) {
 	e, err := s.lookup(name, false)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.drainLocked(e) // envelopes must carry every acknowledged write
-	return appendSketch(buf, e.total)
+	env := appendSketch(buf, e.total)
+	if !estimate {
+		return env, 0, nil
+	}
+	// Encoding finished any deamortized phase, so this is the estimate
+	// of exactly the bytes shipped.
+	return env, e.total.Estimate(), nil
+}
+
+// CopySketch returns a native copy of name's drained all-time sketch
+// or, with windowed set, of the union of its live window ring (rotated
+// to the store clock first), and the entry version the copy was taken
+// at — the in-memory counterpart of Snapshot and WindowSnapshot, for
+// reads that merge or run set algebra in this process. The copy is
+// taken under the entry lock and is caller-owned: it aliases no store
+// state, so the caller may merge into it freely.
+//
+// An all-time read at version skip takes no copy and returns a nil
+// sketch: the caller's memo of that version is current (versions start
+// at 1, so skip 0 always copies). A windowed read always copies, as
+// rotation does not move the version. A name the store does not hold
+// returns a nil sketch, version 0 and no error; a windowed read of an
+// unwindowed store returns ErrNotWindowed.
+func (s *Store) CopySketch(name string, windowed bool, skip uint64) (knw.Estimator, uint64, error) {
+	e, err := s.lookup(name, false)
+	if errors.Is(err, ErrNotFound) {
+		return nil, 0, nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s.drainLocked(e) // copies keep read-your-writes for local ingest
+	v := e.version.Load()
+	if !windowed {
+		if v == skip {
+			return nil, v, nil
+		}
+		c, err := knw.Clone(e.total)
+		return c, v, err
+	}
+	if e.window == nil {
+		return nil, 0, fmt.Errorf("%w (%q)", ErrNotWindowed, name)
+	}
+	s.met.rotations.Add(uint64(e.window.rotate(s.now())))
+	u := e.window.fresh()
+	e.window.mergeSpanInto(u, len(e.window.buckets))
+	return u, v, nil
 }
 
 // WindowSnapshot appends the union of name's live window ring as a
@@ -480,7 +542,7 @@ func (s *Store) WindowSnapshot(name string, buf []byte) ([]byte, error) {
 	}
 	s.drainLocked(e)
 	s.met.rotations.Add(uint64(e.window.rotate(s.now())))
-	return appendSketch(buf, e.window.merged())
+	return appendSketch(buf, e.window.merged()), nil
 }
 
 // Restore replaces name's all-time sketch with the envelope's,
@@ -513,27 +575,15 @@ func (s *Store) Restore(name string, envelope []byte) error {
 	return nil
 }
 
-// appendSketch appends est's envelope to buf through the pooled
-// AppendBinary path when the concrete type provides it.
-func appendSketch(buf []byte, est knw.Estimator) ([]byte, error) {
-	type appender interface {
-		AppendBinary([]byte) ([]byte, error)
-	}
-	if a, ok := est.(appender); ok {
-		return a.AppendBinary(buf)
-	}
-	type marshaler interface {
-		MarshalBinary() ([]byte, error)
-	}
-	m, ok := est.(marshaler)
-	if !ok {
-		return nil, fmt.Errorf("store: %s does not serialize", est.Name())
-	}
-	b, err := m.MarshalBinary()
+// appendSketch appends est's envelope to buf. Every store kind is a
+// wire kind (New checks), and a wire kind's AppendBinary never fails:
+// its error result is there for encoding.BinaryAppender.
+func appendSketch(buf []byte, est knw.Estimator) []byte {
+	out, err := est.(encoding.BinaryAppender).AppendBinary(buf)
 	if err != nil {
-		return nil, err
+		panic("store: encoding a " + est.Name() + " sketch: " + err.Error())
 	}
-	return append(buf, b...), nil
+	return out
 }
 
 // Names returns every store name in sorted order.

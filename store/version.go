@@ -59,15 +59,12 @@ type sectionCache struct {
 
 // refreshEncLocked brings the entry's encode cache to its current
 // version. Callers hold e.mu and have drained.
-func (s *Store) refreshEncLocked(e *entry) error {
+func (s *Store) refreshEncLocked(e *entry) {
 	v := e.version.Load()
 	if c := e.enc; c != nil && c.version == v {
-		return nil
+		return
 	}
-	full, err := appendSketch(nil, e.total)
-	if err != nil {
-		return err
-	}
+	full := appendSketch(nil, e.total)
 	nc := &sectionCache{version: v, full: full}
 	split, serr := knw.SplitEnvelope(full)
 	if serr == nil {
@@ -87,7 +84,6 @@ func (s *Store) refreshEncLocked(e *entry) error {
 		}
 	}
 	e.enc = nc
-	return nil
 }
 
 // DeltaSnapshot returns name's envelope relative to base: nil bytes
@@ -109,9 +105,7 @@ func (s *Store) DeltaSnapshot(name string, base uint64, compress bool) (DeltaSna
 	if base == v {
 		return DeltaSnap{Version: v}, nil
 	}
-	if err := s.refreshEncLocked(e); err != nil {
-		return DeltaSnap{}, err
-	}
+	s.refreshEncLocked(e)
 	c := e.enc
 	if base == 0 || base > v || !c.sections {
 		return DeltaSnap{Version: v, Env: c.full}, nil

@@ -226,13 +226,14 @@ func TestReplicaSetFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	within(t, "view after delta", ve2.AllTime, 6500, 0.25)
-	// The held replica must now be byte-identical to the remote's own
-	// snapshot (the delta-vs-full merge equivalence the wire relies on).
+	// The held replica must now encode byte-identically to the remote's
+	// own snapshot (the delta-vs-full merge equivalence the wire relies
+	// on).
 	wantEnv, err := remote.Snapshot("acme/users", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEnv := rs.peers["http://peer-a"].stores["acme/users"].env
+	gotEnv := appendSketch(nil, rs.peers["http://peer-a"].stores["acme/users"].est)
 	if !bytes.Equal(gotEnv, wantEnv) {
 		t.Fatal("replica after delta differs from the remote's full snapshot")
 	}

@@ -115,14 +115,20 @@ func (w *windowRing) mergedSpan(k int) knw.Estimator {
 	} else {
 		w.scratch = w.fresh()
 	}
+	w.mergeSpanInto(w.scratch, k)
+	return w.scratch
+}
+
+// mergeSpanInto merges the newest k buckets into dst, an empty sketch
+// of the ring's construction.
+func (w *windowRing) mergeSpanInto(dst knw.Estimator, k int) {
 	for j := 0; j < k; j++ {
-		if err := knw.MergeInto(w.scratch, w.bucketAt(j)); err != nil {
+		if err := knw.MergeInto(dst, w.bucketAt(j)); err != nil {
 			// Ring mates share construction by invariant; a mismatch
 			// here is a program bug, not foreign input.
 			panic("store: window bucket diverged from ring: " + err.Error())
 		}
 	}
-	return w.scratch
 }
 
 // estimate reports the distinct count over the trailing window.
