@@ -15,11 +15,14 @@
 //     ownership from the descriptor alone; there is no metadata
 //     service. The boot descriptor (epoch 1) comes from the -peers
 //     flag, and joins/leaves advance it through the two-phase cutover
-//     in membership.go, with sketch handoff (handoff.go) moving
-//     re-owned data as whole envelopes — O(sketch), not O(keys).
-//   - Writes route. POST /v1/cluster/ingest hashes each key once
-//     through the store's pinned sketch hash, places mix64(hash) on
-//     the ring, applies locally owned keys directly to the node's own
+//     in membership.go, with sketch handoff (handoff.go) pushing
+//     re-owned data as whole envelopes — O(sketch), not O(keys) — in
+//     the same peer record stream gossip pulls carry (records.go).
+//   - Writes route. POST /v1/cluster/ingest decodes its body with the
+//     leaf's decoder (httpx.DecodeIngest, so both ingest endpoints
+//     share one body contract), hashes each key once through the
+//     store's pinned sketch hash, places mix64(hash) on the ring,
+//     applies locally owned keys directly to the node's own
 //     store, and fans the rest out to owner peers as binary frames of
 //     pre-hashed keys (internal/frame) over the existing single-node
 //     POST /v1/ingest API, with per-peer buffered batches and

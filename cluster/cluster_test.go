@@ -15,6 +15,8 @@ import (
 
 	knw "repro"
 	"repro/cluster"
+	"repro/internal/frame"
+	"repro/internal/httpx"
 	"repro/service"
 	"repro/store"
 )
@@ -341,25 +343,42 @@ func TestClusterHostileKeysReplicateExactly(t *testing.T) {
 	}
 }
 
-// TestClusterEmptyIngestCreatesEverywhere: an empty body creates the
-// store on every member — the single-node create-on-empty contract,
-// cluster-wide — so later estimates answer 0, not 404, from any node.
+// TestClusterEmptyIngestCreatesEverywhere: an ingest that carries no
+// keys still creates its store on every member — the single-node
+// create-on-empty rule, cluster-wide — so later estimates answer 0,
+// not 404, from any node. Empty newline and JSON bodies and a
+// header-only frame create the ?store= target; a JSON doc with no keys
+// and a zero-count frame doc create the store they name.
 func TestClusterEmptyIngestCreatesEverywhere(t *testing.T) {
 	nodes := startCluster(t, 2, 1, store.Window{})
-	for i, body := range []struct{ ct, data string }{
-		{"text/plain", ""},
-		{"application/json", ""},
+	for i, body := range []struct {
+		ct    string
+		query bool // the body targets ?store= rather than naming the store
+		data  func(name string) []byte
+	}{
+		{"text/plain", true, func(string) []byte { return nil }},
+		{"application/json", true, func(string) []byte { return nil }},
+		{httpx.FrameContentType, true, func(string) []byte { return frame.AppendHeader(nil) }},
+		{"application/json", false, func(name string) []byte {
+			return []byte(`{"store":"` + name + `","keys":[]}`)
+		}},
+		{httpx.FrameContentType, false, func(name string) []byte {
+			return frame.AppendDoc(frame.AppendHeader(nil), name, nil)
+		}},
 	} {
 		name := fmt.Sprintf("empty%d/m", i)
-		resp, err := http.Post(nodes[0].url+"/v1/cluster/ingest?store="+name, body.ct,
-			strings.NewReader(body.data))
+		u := nodes[0].url + "/v1/cluster/ingest"
+		if body.query {
+			u += "?store=" + name
+		}
+		resp, err := http.Post(u, body.ct, bytes.NewReader(body.data(name)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		out, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("empty %s body: HTTP %d: %s", body.ct, resp.StatusCode, out)
+			t.Fatalf("empty %s body %d: HTTP %d: %s", body.ct, i, resp.StatusCode, out)
 		}
 		for _, nd := range nodes {
 			est, _, status := clusterEstimate(t, nd.url, name)
@@ -368,8 +387,52 @@ func TestClusterEmptyIngestCreatesEverywhere(t *testing.T) {
 					name, body.ct, status, est.AllTime)
 			}
 			if _, err := nd.srv.Store().Estimate(name); err != nil {
-				t.Fatalf("store %s missing on %s after empty ingest: %v", name, nd.url, err)
+				t.Fatalf("store %s missing on %s after empty %s ingest: %v", name, nd.url, body.ct, err)
 			}
+		}
+	}
+}
+
+// TestIngestOversizeKeySameOnBothEndpoints: a newline body whose line
+// outgrows httpx.MaxKeyBytes fails the same way through the leaf and
+// the routed endpoint — one decoder, one failure rule: the keys before
+// the oversize line are delivered, the answer is 400, and the progress
+// count says how many keys landed.
+func TestIngestOversizeKeySameOnBothEndpoints(t *testing.T) {
+	nodes := startCluster(t, 2, 1, store.Window{})
+	body := []byte(strings.Join(genKeys("big", 0, 10), "\n") + "\n")
+	body = append(body, bytes.Repeat([]byte{'x'}, httpx.MaxKeyBytes+16)...)
+	type answer struct {
+		status int
+		err    string
+		keys   int
+	}
+	post := func(path, name, field string) answer {
+		resp, err := http.Post(nodes[0].url+path+"?store="+name, "text/plain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		n, _ := out[field].(float64)
+		msg, _ := out["error"].(string)
+		return answer{resp.StatusCode, msg, int(n)}
+	}
+	leaf := post("/v1/ingest", "big/leaf", "ingested")
+	routed := post("/v1/cluster/ingest", "big/routed", "received")
+	if leaf != routed {
+		t.Fatalf("leaf answered %+v, routed answered %+v", leaf, routed)
+	}
+	if leaf.status != http.StatusBadRequest || leaf.keys != 10 || !strings.Contains(leaf.err, "exceeds") {
+		t.Fatalf("oversize key answered %+v, want 400 after 10 keys naming the limit", leaf)
+	}
+	for _, name := range []string{"big/leaf", "big/routed"} {
+		est, _, status := clusterEstimate(t, nodes[1].url, name)
+		if status != http.StatusOK || est.AllTime != 10 {
+			t.Fatalf("%s after oversize failure: HTTP %d, estimate %.1f (want 200, 10)", name, status, est.AllTime)
 		}
 	}
 }

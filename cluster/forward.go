@@ -120,8 +120,8 @@ func (s *session) routeOne(h uint64) {
 	}
 }
 
-// finish flushes every remaining buffer and reports the outcome.
-func (s *session) finish() error {
+// finish flushes every remaining buffer and counts the session's keys.
+func (s *session) finish() {
 	s.flushLocal()
 	for m := range s.pending {
 		if len(s.pending[m]) > 0 {
@@ -133,7 +133,6 @@ func (s *session) finish() error {
 	rt.met.localKeys.Add(uint64(s.local))
 	s.act.SetStore(s.store)
 	s.act.AddKeys(s.received)
-	return nil
 }
 
 func (s *session) flushLocal() {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	knw "repro"
-	"repro/internal/binenc"
 	"repro/internal/httpx"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -34,12 +33,13 @@ import (
 //     version as the delta base (0 for first contact, and for
 //     everything when the instance id changed: a restarted peer's
 //     counters share nothing with its old life).
-//  3. The peer streams back one envelope per requested store: a KNWD
-//     section delta (envelope_delta.go) when it can prove what changed
-//     since the base — in the duplicate-heavy steady state of distinct
-//     counting, a near-empty frame — or a full KNWE envelope. Both are
-//     validated and installed into the ReplicaSet; a delta whose base
-//     no longer matches (ErrStaleBase) is re-pulled as a full.
+//  3. The peer streams back one record per requested store in the peer
+//     record stream (records.go): a KNWD section delta
+//     (envelope_delta.go) when it can prove what changed since the
+//     base — in the duplicate-heavy steady state of distinct counting,
+//     a near-empty frame — or a full KNWE envelope. Both are validated
+//     and installed into the ReplicaSet; a delta whose base no longer
+//     matches (ErrStaleBase) is re-pulled as a full.
 //
 // Reads over the merged view (LocalEstimate, /v1/estimate, and
 // /v1/cluster/estimate?mode=local) are then O(1) in cluster size: one
@@ -48,16 +48,6 @@ import (
 // within one round-trip of the next round that reaches that peer, and
 // every local answer carries its worst-case lag in the
 // X-KNW-Staleness header so clients can judge it.
-const (
-	gossipMagic   = 0x4b4e5747 // "KNWG"
-	gossipVersion = 1
-	// maxGossipBody bounds a pull response (it can carry many full
-	// envelopes on first contact).
-	maxGossipBody = 256 << 20
-	// maxGossipStores bounds the store count in one pull request.
-	maxGossipStores = 1 << 20
-)
-
 // StalenessHeader carries the worst-case replication lag, in seconds,
 // of a merged-view estimate: the age of the oldest peer sync the
 // answer may predate. Under a healthy gossip loop it stays below two
@@ -463,12 +453,9 @@ func (g *gossiper) pull(peer string, instance uint64, want map[string]uint64, hd
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("pull: peer answered HTTP %d: %s", resp.StatusCode, msg)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxGossipBody+1))
+	rs, err := readRecords(resp.Body)
 	if err != nil {
-		return nil, err
-	}
-	if len(data) > maxGossipBody {
-		return nil, fmt.Errorf("pull: response exceeds %d bytes", maxGossipBody)
+		return nil, fmt.Errorf("pull: %w", err)
 	}
 	pullDur := time.Since(t0)
 	g.rt.met.stagePull.Observe(pullDur.Seconds())
@@ -480,51 +467,41 @@ func (g *gossiper) pull(peer string, instance uint64, want map[string]uint64, hd
 		act.Stage("gossip_apply", d)
 	}()
 
-	r := binenc.Reader{Buf: data}
-	r.Expect(gossipMagic, "gossip magic")
-	if v := r.Uvarint(); r.Err() == nil && v != gossipVersion {
-		return nil, fmt.Errorf("pull: unsupported gossip version %d", v)
-	}
-	inst := r.Uvarint()
-	count := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("pull: bad header: %w", err)
-	}
-	if count > maxGossipStores {
-		return nil, fmt.Errorf("pull: header claims %d stores", count)
-	}
-	// The peer may have restarted between digest and pull; its versions
-	// then belong to the new life.
-	g.replicas.SetInstance(peer, inst)
-	var retry []string
-	for i := uint64(0); i < count; i++ {
-		name := string(r.BytesView())
-		version := r.Uvarint()
-		env := r.BytesView()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("pull: bad record: %w", err)
-		}
-		if knw.IsDelta(env) {
-			g.met.rxDeltaBytes.Add(uint64(len(env)))
-			switch err := g.replicas.ApplyDelta(peer, name, env); {
-			case errors.Is(err, store.ErrStaleBase):
-				retry = append(retry, name)
-			case err != nil:
-				g.met.applyErrors.Inc()
-				return nil, fmt.Errorf("pull: applying delta %q: %w", name, err)
-			}
-			continue
-		}
-		g.met.rxFullBytes.Add(uint64(len(env)))
-		if err := g.replicas.ApplyFull(peer, name, version, env); err != nil {
-			g.met.applyErrors.Inc()
-			return nil, fmt.Errorf("pull: applying %q: %w", name, err)
-		}
-	}
-	if len(r.Buf) != 0 {
-		return nil, fmt.Errorf("pull: %d trailing bytes", len(r.Buf))
+	retry, err := g.apply(peer, rs)
+	if err != nil {
+		return nil, fmt.Errorf("pull: %w", err)
 	}
 	return retry, nil
+}
+
+// apply installs a pulled record stream into peer's replicas — gossip's
+// sink for the record codec. It returns the names whose deltas hit
+// ErrStaleBase; anything else wrong with a record is an error.
+func (g *gossiper) apply(peer string, rs *recordStream) ([]string, error) {
+	// The peer may have restarted between digest and pull; its versions
+	// then belong to the new life.
+	g.replicas.SetInstance(peer, rs.instance)
+	var retry []string
+	err := rs.each(func(rec peerRecord) error {
+		if knw.IsDelta(rec.env) {
+			g.met.rxDeltaBytes.Add(uint64(len(rec.env)))
+			switch err := g.replicas.ApplyDelta(peer, rec.name, rec.env); {
+			case errors.Is(err, store.ErrStaleBase):
+				retry = append(retry, rec.name)
+			case err != nil:
+				g.met.applyErrors.Inc()
+				return fmt.Errorf("applying delta %q: %w", rec.name, err)
+			}
+			return nil
+		}
+		g.met.rxFullBytes.Add(uint64(len(rec.env)))
+		if err := g.replicas.ApplyFull(peer, rec.name, rec.version, rec.env); err != nil {
+			g.met.applyErrors.Inc()
+			return fmt.Errorf("applying %q: %w", rec.name, err)
+		}
+		return nil
+	})
+	return retry, err
 }
 
 func (g *gossiper) staleness() time.Duration {
@@ -605,7 +582,7 @@ func (rt *Router) HandleGossipDigest(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// HandleGossipPull is POST /v1/gossip/pull: stream back one envelope
+// HandleGossipPull is POST /v1/gossip/pull: stream back one record
 // per requested store — a KNWD delta against the caller's base when
 // the store can prove what changed, a full envelope otherwise.
 func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
@@ -619,7 +596,7 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 		httpx.Fail(w, httpx.ReadStatus(err), err)
 		return
 	}
-	if len(req.Versions) > maxGossipStores {
+	if len(req.Versions) > maxPeerRecords {
 		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("pull requests %d stores", len(req.Versions)))
 		return
 	}
@@ -629,8 +606,7 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 
-	var body binenc.Writer
-	count := uint64(0)
+	var rw recordWriter
 	for _, name := range names {
 		base := req.Versions[name]
 		if req.Instance != g.instance {
@@ -642,9 +618,7 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 		if err != nil || ds.Env == nil {
 			continue // unknown here, or already current
 		}
-		body.Bytes([]byte(name))
-		body.Uvarint(ds.Version)
-		body.Bytes(ds.Env)
+		rw.add(peerRecord{name: name, version: ds.Version, env: ds.Env})
 		if ds.Delta {
 			g.met.txDeltaBytes.Add(uint64(len(ds.Env)))
 			g.met.txDeltas.Inc()
@@ -652,16 +626,11 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 			g.met.txFullBytes.Add(uint64(len(ds.Env)))
 			g.met.txFulls.Inc()
 		}
-		count++
 	}
-	var out binenc.Writer
-	out.Uvarint(gossipMagic)
-	out.Uvarint(gossipVersion)
-	out.Uvarint(g.instance)
-	out.Uvarint(count)
+	head := rw.head(g.instance)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(out.Buf)+len(body.Buf)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(rw.body.Buf)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(out.Buf)
-	w.Write(body.Buf)
+	w.Write(head)
+	w.Write(rw.body.Buf)
 }

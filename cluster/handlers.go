@@ -1,17 +1,13 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/frame"
 	"repro/internal/httpx"
 	"repro/internal/trace"
 	"repro/internal/version"
@@ -24,237 +20,87 @@ import (
 // body limits and error mappings come from internal/httpx, shared
 // with the leaf ingest the router forwards to.
 
-// routeBatch is the scan granularity: keys per route() call.
-const routeBatch = 1024
-
-// ingestDoc is the JSON body form of POST /v1/cluster/ingest — the
-// same {"store","keys"} document stream POST /v1/ingest accepts, so
-// clients switch between single-node and routed ingest by path alone.
-// (Peer forwarding itself travels as binary frames; see session.send.)
-type ingestDoc struct {
-	Store string   `json:"store"`
-	Keys  []string `json:"keys"`
-}
-
-// HandleIngest is POST /v1/cluster/ingest: body formats identical to
-// the single-node ingest (newline keys with ?store=, a stream of JSON
-// documents, or a binary frame of pre-hashed keys), but every key is
-// routed to its R ring owners instead of landing only here. Empty
-// bodies create the store on every member, mirroring the single-node
-// create-on-empty contract.
+// HandleIngest is POST /v1/cluster/ingest: the single-node ingest
+// bodies, decoded by the same httpx.DecodeIngest (newline keys with
+// ?store=, a stream of JSON documents, or a binary frame of pre-hashed
+// keys), but every key is routed to its R ring owners instead of
+// landing only here. The create-on-empty rule creates the store on
+// every member.
 //
 // Status: 200 when every key reached at least one owner (including
 // partial successes that lost fewer than R peers, flagged by
 // X-KNW-Partial and "partial": true); 502 once ≥ R peers failed, since
-// some keys may then have lost every owner. Mid-stream body failures
-// report the progress fields alongside the error — earlier batches
-// were already delivered, and re-sends are idempotent.
+// some keys may then have lost every owner. A body that fails
+// mid-stream routes every key decoded before the failure and reports
+// the progress fields beside the error; re-sends are idempotent.
 func (rt *Router) HandleIngest(w http.ResponseWriter, r *http.Request) {
-	ct := r.Header.Get("Content-Type")
+	sink := &routeSink{rt: rt, act: trace.FromContext(r.Context()), sessions: map[string]*session{}}
+	_, err := httpx.DecodeIngest(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes),
+		r.Header.Get("Content-Type"), r.URL.Query().Get("store"), sink)
+	res, failed, worst := rt.settle(sink.order)
+	if len(failed) > 0 {
+		w.Header().Set(PartialHeader, strings.Join(failed, ","))
+	}
+	rt.ringHeaders(w)
 	switch {
-	case httpx.IsFrame(ct):
-		rt.ingestFrames(w, r)
-	case httpx.IsJSON(ct):
-		rt.ingestJSON(w, r)
-	default:
-		rt.ingestLines(w, r)
-	}
-}
-
-// ingestFrames routes a binary frame body (internal/frame): docs carry
-// pre-hashed keys, so routing skips the hash entirely and places each
-// key by its client-computed value — which matches the string codecs'
-// placement because client and cluster share the sketch seed. Docs
-// with an empty name target ?store=; a header-only frame creates the
-// ?store= target on every member.
-func (rt *Router) ingestFrames(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("store")
-	act := trace.FromContext(r.Context())
-	fr := frame.NewReader(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes), make([]byte, 64<<10))
-	if err := fr.ReadHeader(); err != nil {
-		httpx.Fail(w, httpx.ReadStatus(err), err)
-		return
-	}
-	var order []*session
-	sessions := map[string]*session{}
-	batch := make([]uint64, routeBatch)
-	for {
-		nameView, _, err := fr.NextDoc()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			rt.failIngest(w, httpx.ReadStatus(err), err, order...)
-			return
-		}
-		target := name
-		if len(nameView) > 0 {
-			target = string(nameView)
-		}
-		if err := store.ValidateName(target); err != nil {
-			rt.failIngest(w, http.StatusBadRequest, err, order...)
-			return
-		}
-		s := sessions[target]
-		if s == nil {
-			s = rt.newSession(target, act)
-			sessions[target] = s
-			order = append(order, s)
-		}
-		for {
-			n, err := fr.Keys(batch)
-			if n > 0 {
-				s.routeHashed(batch[:n])
-			}
-			if err != nil {
-				rt.failIngest(w, httpx.ReadStatus(err), err, order...)
-				return
-			}
-			if n == 0 {
-				break
-			}
-		}
-	}
-	if len(order) == 0 {
-		// Header-only frame: create the ?store= target everywhere,
-		// exactly like the zero-document JSON stream.
-		if err := store.ValidateName(name); err != nil {
-			httpx.Fail(w, http.StatusBadRequest, err)
-			return
-		}
-		s := rt.newSession(name, act)
-		s.createAll()
-		rt.finishIngest(w, s)
-		return
-	}
-	rt.finishIngest(w, order...)
-}
-
-func (rt *Router) ingestLines(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("store")
-	if err := store.ValidateName(name); err != nil {
-		httpx.Fail(w, http.StatusBadRequest, err)
-		return
-	}
-	s := rt.newSession(name, trace.FromContext(r.Context()))
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
-	sc.Buffer(make([]byte, 64<<10), httpx.MaxKeyBytes)
-	batch := make([]string, 0, routeBatch)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		batch = append(batch, string(line))
-		if len(batch) == routeBatch {
-			s.route(batch)
-			batch = batch[:0]
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// Route what arrived before the failure (re-sends are idempotent
-		// for distinct counting), then report the error with the
-		// delivery counts so the client knows this was not a no-op.
-		s.route(batch)
-		rt.failIngest(w, httpx.ReadStatus(err), err, s)
-		return
-	}
-	s.route(batch)
-	if s.received == 0 {
-		s.createAll()
-	}
-	rt.finishIngest(w, s)
-}
-
-func (rt *Router) ingestJSON(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("store")
-	act := trace.FromContext(r.Context())
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpx.MaxBodyBytes))
-	var order []*session
-	sessions := map[string]*session{}
-	for {
-		var doc ingestDoc
-		err := dec.Decode(&doc)
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			rt.failIngest(w, httpx.ReadStatus(err), err, order...)
-			return
-		}
-		target := name
-		if doc.Store != "" {
-			target = doc.Store
-		}
-		if err := store.ValidateName(target); err != nil {
-			rt.failIngest(w, http.StatusBadRequest, err, order...)
-			return
-		}
-		s := sessions[target]
-		if s == nil {
-			s = rt.newSession(target, act)
-			sessions[target] = s
-			order = append(order, s)
-		}
-		s.route(doc.Keys)
-	}
-	if len(order) == 0 {
-		// Zero documents: create the ?store= target everywhere, exactly
-		// like the single-node JSON path (and a 400 on a bad name).
-		if err := store.ValidateName(name); err != nil {
-			httpx.Fail(w, http.StatusBadRequest, err)
-			return
-		}
-		s := rt.newSession(name, act)
-		s.createAll()
-		rt.finishIngest(w, s)
-		return
-	}
-	rt.finishIngest(w, order...)
-}
-
-// finishIngest flushes every session and writes the success response:
-// the single session's result, or the aggregate for multi-store
-// bodies.
-func (rt *Router) finishIngest(w http.ResponseWriter, sessions ...*session) {
-	res, failed, worst := rt.settle(sessions)
-	status := http.StatusOK
-	if worst >= res.Replication {
+	case err != nil:
+		httpx.Reply(w, httpx.ReadStatus(err), map[string]any{
+			"error":       err.Error(),
+			"store":       res.Store,
+			"received":    res.Received,
+			"replication": res.Replication,
+			"local":       res.Local,
+			"forwarded":   res.Forwarded,
+			"lost":        res.Lost,
+			"partial":     res.Partial,
+		})
+	case worst >= res.Replication:
 		// A key's owners are R distinct members, so only ≥ R failures
 		// within one session can have dropped a key on every replica.
 		// (Mid-rebalance the union routing only widens owner sets, so
 		// the committed R stays the conservative loss bound.)
-		status = http.StatusBadGateway
+		httpx.Reply(w, http.StatusBadGateway, res)
+	default:
+		httpx.Reply(w, http.StatusOK, res)
 	}
-	if len(failed) > 0 {
-		w.Header().Set(PartialHeader, strings.Join(failed, ","))
-	}
-	rt.ringHeaders(w)
-	httpx.Reply(w, status, res)
 }
 
-// failIngest flushes the sessions and reports a request failure along
-// with the partial-progress counts (the single-node failIngest
-// contract, cluster-shaped).
-func (rt *Router) failIngest(w http.ResponseWriter, status int, err error, sessions ...*session) {
-	res, failed, _ := rt.settle(sessions)
-	if len(failed) > 0 {
-		w.Header().Set(PartialHeader, strings.Join(failed, ","))
+// routeSink is the router's ingest sink: one session per target store,
+// in first-seen order. An empty batch creates the store on every
+// member.
+type routeSink struct {
+	rt       *Router
+	act      *trace.Active
+	sessions map[string]*session
+	order    []*session
+}
+
+func (k *routeSink) session(name string) *session {
+	s := k.sessions[name]
+	if s == nil {
+		s = k.rt.newSession(name, k.act)
+		k.sessions[name] = s
+		k.order = append(k.order, s)
 	}
-	rt.ringHeaders(w)
-	httpx.Reply(w, status, map[string]any{
-		"error":       err.Error(),
-		"store":       res.Store,
-		"received":    res.Received,
-		"replication": res.Replication,
-		"local":       res.Local,
-		"forwarded":   res.Forwarded,
-		"lost":        res.Lost,
-		"partial":     res.Partial,
-	})
+	return s
+}
+
+func (k *routeSink) Strings(name string, keys []string) error {
+	s := k.session(name)
+	if len(keys) == 0 {
+		s.createAll()
+	}
+	s.route(keys)
+	return nil
+}
+
+func (k *routeSink) Hashed(name string, keys []uint64) error {
+	s := k.session(name)
+	if len(keys) == 0 {
+		s.createAll()
+	}
+	s.routeHashed(keys)
+	return nil
 }
 
 // settle finishes every session and folds their results: the single

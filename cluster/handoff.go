@@ -6,11 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/binenc"
 	"repro/internal/httpx"
 	"repro/internal/trace"
 	"repro/store"
@@ -26,40 +27,26 @@ import (
 // count once), so the target set errs wide: any peer that gains
 // ownership of any hash interval we own today gets our full envelopes.
 //
-// Wire form ("KNWH", the POST /v1/cluster/handoff body):
-//
-//	uvarint handoffMagic ("KNWH")
-//	uvarint version (1)
-//	uvarint epoch (the pending epoch this transfer serves)
-//	bytes   source member url
-//	uvarint record count
-//	per record:
-//	  bytes   store name
-//	  uvarint scope (0 = all-time envelope, 1 = live-window envelope)
-//	  bytes   envelope (KNWE)
+// The push body is the peer record stream gossip pulls use (records.go),
+// one record per store: its all-time envelope and, for a windowed
+// store, its live window's union. The pending epoch the transfer serves
+// and the source member ride in the URL (?epoch=&source=), for the
+// receiver's log. The push stays a push because only the old owners
+// can compute what moved: they hold the cluster's committed ring,
+// while a node started with -join boots on a one-member ring and, once
+// it adopts the pending epoch, would see itself owning everything.
 //
 // Pushes retry with capped exponential backoff until they succeed, the
 // attempt budget runs out, or a newer epoch supersedes the transition;
 // each push rebuilds the stream from live snapshots, so a retry after
 // more ingest simply carries the fresher envelope (idempotent merges).
 const (
-	handoffMagic   = 0x4b4e5748 // "KNWH"
-	handoffVersion = 1
-	// maxHandoffBody bounds one handoff stream on the receive side.
-	maxHandoffBody = 256 << 20
-	// maxHandoffStores bounds the record count in one stream.
-	maxHandoffStores = 1 << 20
 	// maxHandoffBackoff caps the push retry backoff.
 	maxHandoffBackoff = 2 * time.Second
 	// maxHandoffAttempts bounds one target's pushes; past it the
 	// coordinator's cutover deadline decides (replication covers the
 	// data when the target stayed unreachable).
 	maxHandoffAttempts = 60
-)
-
-const (
-	handoffScopeAllTime = 0
-	handoffScopeWindow  = 1
 )
 
 // HandoffTarget is one peer's transfer progress.
@@ -300,9 +287,10 @@ func (h *handoff) pause(d time.Duration) bool {
 	}
 }
 
-// pushHandoff builds one KNWH stream from live snapshots and delivers
-// it. keys is the estimated distinct-key mass shipped (the sum of the
-// shipped stores' all-time estimates — what knwd_handoff_keys_total
+// pushHandoff builds one record stream from live snapshots and
+// delivers it. stores counts the envelopes shipped (all-time and
+// window); keys is the estimated distinct-key mass shipped (the sum of
+// the shipped stores' all-time estimates — what knwd_handoff_keys_total
 // accumulates). permanent marks 4xx rejections, which a retry cannot
 // fix.
 func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbytes uint64, err error, permanent bool) {
@@ -320,8 +308,7 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 	}()
 
 	windowed := rt.local.Window().Buckets > 0
-	var body binenc.Writer
-	count := 0
+	var rw recordWriter
 	var keyMass float64
 	for _, name := range rt.local.Names() {
 		env, est, serr := rt.local.SnapshotEstimate(name, nil)
@@ -331,36 +318,26 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 		if serr != nil {
 			return 0, 0, 0, serr, false
 		}
-		body.Bytes([]byte(name))
-		body.Uvarint(handoffScopeAllTime)
-		body.Bytes(env)
-		count++
+		rec := peerRecord{name: name, env: env}
+		stores++
 		keyMass += est
-		if !windowed {
-			continue
-		}
-		wenv, werr := rt.local.WindowSnapshot(name, nil)
-		if werr != nil {
-			if errors.Is(werr, store.ErrNotFound) || errors.Is(werr, store.ErrNotWindowed) {
-				continue
+		if windowed {
+			wenv, werr := rt.local.WindowSnapshot(name, nil)
+			switch {
+			case werr == nil:
+				rec.window = wenv
+				stores++
+			case !errors.Is(werr, store.ErrNotFound) && !errors.Is(werr, store.ErrNotWindowed):
+				return 0, 0, 0, werr, false
 			}
-			return 0, 0, 0, werr, false
 		}
-		body.Bytes([]byte(name))
-		body.Uvarint(handoffScopeWindow)
-		body.Bytes(wenv)
-		count++
+		rw.add(rec)
 	}
+	payload := append(rw.head(0), rw.body.Buf...)
 
-	var head binenc.Writer
-	head.Uvarint(handoffMagic)
-	head.Uvarint(handoffVersion)
-	head.Uvarint(epoch)
-	head.Bytes([]byte(rt.cfg.Self))
-	head.Uvarint(uint64(count))
-	payload := append(head.Buf, body.Buf...)
-
-	req, rerr := http.NewRequest(http.MethodPost, peer+"/v1/cluster/handoff", bytes.NewReader(payload))
+	u := peer + "/v1/cluster/handoff?epoch=" + strconv.FormatUint(epoch, 10) +
+		"&source=" + url.QueryEscape(rt.cfg.Self)
+	req, rerr := http.NewRequest(http.MethodPost, u, bytes.NewReader(payload))
 	if rerr != nil {
 		return 0, 0, 0, rerr, false
 	}
@@ -379,73 +356,28 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 	if keyMass < 0 {
 		keyMass = 0
 	}
-	return count, uint64(keyMass + 0.5), uint64(len(payload)), nil, false
+	return stores, uint64(keyMass + 0.5), uint64(len(payload)), nil, false
 }
 
-// HandleHandoff is POST /v1/cluster/handoff: merge an inbound KNWH
-// stream into the local store. Merging is idempotent and union-safe,
-// so re-deliveries (push retries) and transfers for epochs this node
-// has already moved past are accepted rather than bounced — bouncing
-// could only lose data.
+// HandleHandoff is POST /v1/cluster/handoff: merge an inbound record
+// stream into the local store (mergeRecords). Merging is idempotent
+// and union-safe, so re-deliveries (push retries) and transfers for
+// epochs this node has already moved past are accepted rather than
+// bounced — bouncing could only lose data.
 func (rt *Router) HandleHandoff(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxHandoffBody))
+	rs, err := readRecords(http.MaxBytesReader(w, r.Body, maxPeerBody))
 	if err != nil {
-		httpx.Fail(w, httpx.ReadStatus(err), err)
+		httpx.Fail(w, httpx.ReadStatus(err), fmt.Errorf("handoff: %w", err))
 		return
 	}
+	q := r.URL.Query()
+	epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
+	source := q.Get("source")
 	act := trace.FromContext(r.Context())
 	t0 := time.Now()
-	br := binenc.Reader{Buf: data}
-	br.Expect(handoffMagic, "handoff magic")
-	if v := br.Uvarint(); br.Err() == nil && v != handoffVersion {
-		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("unsupported handoff version %d", v))
-		return
-	}
-	epoch := br.Uvarint()
-	source := string(br.BytesView())
-	count := br.Uvarint()
-	if err := br.Err(); err != nil {
-		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("bad handoff header: %w", err))
-		return
-	}
-	if count > maxHandoffStores {
-		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("handoff claims %d records", count))
-		return
-	}
-	applied := 0
-	for i := uint64(0); i < count; i++ {
-		name := string(br.BytesView())
-		scope := br.Uvarint()
-		env := br.BytesView()
-		if err := br.Err(); err != nil {
-			httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("bad handoff record: %w", err))
-			return
-		}
-		if err := store.ValidateName(name); err != nil {
-			httpx.Fail(w, http.StatusBadRequest, err)
-			return
-		}
-		switch scope {
-		case handoffScopeAllTime:
-			err = rt.local.Merge(name, env)
-		case handoffScopeWindow:
-			err = rt.local.MergeWindow(name, env)
-			if errors.Is(err, store.ErrNotWindowed) {
-				// Config skew: fold the peer's window into all-time rather
-				// than dropping its keys.
-				err = rt.local.Merge(name, env)
-			}
-		default:
-			err = fmt.Errorf("unknown handoff scope %d", scope)
-		}
-		if err != nil {
-			httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("handoff record %q: %w", name, err))
-			return
-		}
-		applied++
-	}
-	if len(br.Buf) != 0 {
-		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("handoff has %d trailing bytes", len(br.Buf)))
+	applied, err := rt.mergeRecords(rs)
+	if err != nil {
+		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("handoff: %w", err))
 		return
 	}
 	rt.met.handoffApplied.Add(uint64(applied))
@@ -459,4 +391,33 @@ func (rt *Router) HandleHandoff(w http.ResponseWriter, r *http.Request) {
 		"epoch":  epoch,
 		"stores": applied,
 	})
+}
+
+// mergeRecords merges an inbound record stream into the local store —
+// handoff's sink for the record codec: each record's envelope into the
+// all-time sketch, then its window into the live window. It returns
+// the envelopes merged.
+func (rt *Router) mergeRecords(rs *recordStream) (int, error) {
+	applied := 0
+	err := rs.each(func(rec peerRecord) error {
+		if err := rt.local.Merge(rec.name, rec.env); err != nil {
+			return fmt.Errorf("handoff record %q: %w", rec.name, err)
+		}
+		applied++
+		if len(rec.window) == 0 {
+			return nil
+		}
+		err := rt.local.MergeWindow(rec.name, rec.window)
+		if errors.Is(err, store.ErrNotWindowed) {
+			// Config skew: fold the peer's window into all-time rather
+			// than dropping its keys.
+			err = rt.local.Merge(rec.name, rec.window)
+		}
+		if err != nil {
+			return fmt.Errorf("handoff window %q: %w", rec.name, err)
+		}
+		applied++
+		return nil
+	})
+	return applied, err
 }

@@ -25,11 +25,14 @@ import (
 	"repro/store"
 )
 
+// memberEps is the sketch ε of the membership tests' stores.
+const memberEps = 0.05
+
 func newMemberStore(t *testing.T) *store.Store {
 	t.Helper()
 	st, err := store.New(store.Config{
 		Kind:    knw.KindF0,
-		Options: []knw.Option{knw.WithEpsilon(0.05), knw.WithSeed(1)},
+		Options: []knw.Option{knw.WithEpsilon(memberEps), knw.WithSeed(1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -630,8 +633,21 @@ func TestCutoverDeadlineSkipsDeadPeer(t *testing.T) {
 // TestLeaveSoleReplicaHandsOff: at R=1 the departing node is the only
 // holder of its slices — leaving must move them, not drop them. Two
 // real routers over loopback HTTP: all keys live on A, A drains, B
-// must answer the full count afterward.
+// must answer the full count afterward — all-time, and for windowed
+// stores the live window too (the record's window field).
 func TestLeaveSoleReplicaHandsOff(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window store.Window
+	}{
+		{"unwindowed", store.Window{}},
+		{"windowed", store.Window{Buckets: 4, Interval: time.Hour}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testLeaveSoleReplica(t, tc.window) })
+	}
+}
+
+func testLeaveSoleReplica(t *testing.T, window store.Window) {
 	lns := make([]net.Listener, 2)
 	urls := make([]string, 2)
 	for i := range lns {
@@ -645,7 +661,15 @@ func TestLeaveSoleReplicaHandsOff(t *testing.T) {
 	stores := make([]*store.Store, 2)
 	routers := make([]*Router, 2)
 	for i := range routers {
-		stores[i] = newMemberStore(t)
+		st, err := store.New(store.Config{
+			Kind:    knw.KindF0,
+			Options: []knw.Option{knw.WithEpsilon(memberEps), knw.WithSeed(1)},
+			Window:  window,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = st
 		rt, err := New(Config{
 			Self: urls[i], Peers: urls, Replication: 1,
 			Backoff: 2 * time.Millisecond, Timeout: 2 * time.Second,
@@ -699,6 +723,16 @@ func TestLeaveSoleReplicaHandsOff(t *testing.T) {
 	if rel := abs64(est.AllTime-truth) / truth; rel > 0.10 {
 		t.Fatalf("survivor estimate %.0f vs truth %d: rel err %.3f (handoff lost data)",
 			est.AllTime, truth, rel)
+	}
+	if window.Buckets == 0 {
+		return
+	}
+	if !est.Windowed {
+		t.Fatalf("survivor estimate is not windowed: %+v", est)
+	}
+	if rel := abs64(est.Window-truth) / truth; rel > memberEps {
+		t.Fatalf("survivor window estimate %.0f vs truth %d: rel err %.3f > ε (window record lost)",
+			est.Window, truth, rel)
 	}
 }
 

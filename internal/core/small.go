@@ -64,23 +64,27 @@ func (s *smallF0) estimate(k int) (float64, bool) {
 
 // mergeFrom merges another small-F0 structure built with the same
 // hashes (bit arrays OR; exact sets union with overflow propagation).
+// Overflow is decided from the union's size before any key moves, so
+// an overflowing merge leaves s's exact set as it was and the result
+// does not depend on map iteration order: equal inputs merge to equal
+// bytes.
 func (s *smallF0) mergeFrom(o *smallF0) {
 	s.bv.Or(o.bv)
 	if s.overflow || o.overflow {
 		s.overflow = true
 		return
 	}
+	union := len(s.exact)
 	for key := range o.exact {
-		if _, seen := s.exact[key]; seen {
-			continue
-		}
-		if len(s.exact) < ExactCap {
-			s.exact[key] = struct{}{}
-		} else {
-			s.overflow = true
-			return
+		if _, seen := s.exact[key]; !seen {
+			union++
 		}
 	}
+	if union > ExactCap {
+		s.overflow = true
+		return
+	}
+	maps.Copy(s.exact, o.exact)
 }
 
 // copyFrom makes s equal to o, reusing s's storage.

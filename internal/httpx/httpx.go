@@ -1,9 +1,10 @@
 // Package httpx is the HTTP plumbing shared by the single-node
 // service layer and the cluster router: body limits, content-type
-// detection, error→status mapping, and JSON replies. The two layers
-// are the same wire surface reached by different paths (the cluster
-// router forwards to the service's leaf ingest), so their limits and
-// mappings must never drift apart — they live here once.
+// detection, the ingest body decoder (ingest.go), error→status
+// mapping, and JSON replies. The two layers are the same wire surface
+// reached by different paths (the cluster router forwards to the
+// service's leaf ingest), so their limits, decoding and mappings must
+// never drift apart — they live here once.
 package httpx
 
 import (

@@ -74,6 +74,35 @@ func TestF0Merge(t *testing.T) {
 	}
 }
 
+// TestF0MergeOverflowDeterministic: two sketches whose exact-key sets
+// each fit under the exact cap but whose union does not must merge to
+// the same bytes every time — the merged exact set may not depend on
+// map iteration order.
+func TestF0MergeOverflowDeterministic(t *testing.T) {
+	opts := []Option{WithEpsilon(0.2), WithCopies(1), WithSeed(7)}
+	merged := func() []byte {
+		a, b := NewF0(opts...), NewF0(opts...)
+		for i := uint64(0); i < 60; i++ {
+			a.Add(i * 0x9e3779b97f4a7c15)
+			b.Add((i + 1000) * 0x9e3779b97f4a7c15)
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		out, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := merged()
+	for i := 1; i < 50; i++ {
+		if got := merged(); string(got) != string(first) {
+			t.Fatalf("merge %d marshaled to different bytes than merge 0", i)
+		}
+	}
+}
+
 func TestF0MergeConfigMismatch(t *testing.T) {
 	a := NewF0(WithSeed(6))
 	b := NewF0(WithSeed(7))

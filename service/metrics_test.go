@@ -16,6 +16,7 @@ import (
 	"time"
 
 	knw "repro"
+	"repro/internal/httpx"
 	"repro/store"
 )
 
@@ -297,11 +298,11 @@ func TestIngestEmptyBodyCreatesStore(t *testing.T) {
 	}
 }
 
-// TestIngestOversizeKeyRejected: a single line longer than maxKeyBytes
+// TestIngestOversizeKeyRejected: a single line longer than httpx.MaxKeyBytes
 // fails with 400 instead of growing the scan buffer without bound.
 func TestIngestOversizeKeyRejected(t *testing.T) {
 	_, hs := newTestServer(t, testConfig(""))
-	huge := bytes.Repeat([]byte{'x'}, maxKeyBytes+16)
+	huge := bytes.Repeat([]byte{'x'}, httpx.MaxKeyBytes+16)
 	resp, body := post(t, hs.URL+"/v1/ingest?store=huge/a", "text/plain", huge)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("HTTP %d, want 400; body: %s", resp.StatusCode, body)

@@ -13,7 +13,8 @@
 //	                   {"store": "...", "keys": [...]} documents (the
 //	                   JSON body may carry the store name itself); or
 //	                   binary frames of pre-hashed keys (Content-Type
-//	                   application/x-knw-frame, see internal/frame)
+//	                   application/x-knw-frame, see internal/frame),
+//	                   decoded by httpx.DecodeIngest into the store
 //	GET  /v1/estimate  → JSON store.Estimate
 //	POST /v1/merge     body = a peer sketch envelope; folds it into the
 //	                   named store (409 on kind/settings mismatch)
@@ -33,7 +34,8 @@
 //	                   ?store= window ring over &span=, with span union
 //	                   and rate-of-change fields; cluster nodes gather
 //	                   rings and union same-epoch buckets
-//	POST /v1/cluster/ingest    cluster mode: route keys to ring owners
+//	POST /v1/cluster/ingest    cluster mode: the same bodies, decoded by
+//	                   the same httpx.DecodeIngest, routed to ring owners
 //	GET  /v1/cluster/estimate  cluster mode: ?mode=local the merged
 //	                   gossip view (O(1), X-KNW-Staleness header),
 //	                   ?mode=gather the scatter-gather union; local is
@@ -46,12 +48,14 @@
 //	                   drained first — or dead) and cut over
 //	GET/POST /v1/cluster/ring  membership control plane: descriptor
 //	                   state; prepare (KNWM body); ?phase=commit
-//	POST /v1/cluster/handoff   rebalance data plane: a KNWH envelope
-//	                   stream from a re-owned peer, merged on arrival
+//	POST /v1/cluster/handoff   rebalance data plane: a peer record
+//	                   stream (KNWG, as gossip pulls carry) of a
+//	                   re-owned peer's all-time and window envelopes,
+//	                   merged on arrival
 //	GET  /v1/cluster/handoff/status  per-epoch handoff progress
 //	GET  /v1/gossip/digest     gossip: this node's version vector
-//	POST /v1/gossip/pull       gossip: delta/full envelopes since the
-//	                   caller's base versions
+//	POST /v1/gossip/pull       gossip: a peer record stream of delta/full
+//	                   envelopes since the caller's base versions
 //	GET  /metrics      → Prometheus text exposition (service + store
 //	                   instruments; see internal/metrics)
 //	GET  /healthz      → 200 once serving
@@ -430,14 +434,6 @@ func (s *Server) announceJoin(ctx context.Context) {
 }
 
 // --- handlers -------------------------------------------------------
-
-// ingestRequest is the JSON body form of POST /v1/ingest. A body may
-// carry any number of these documents (NDJSON or concatenated); each
-// routes to its own store. See ingest.go for the streaming consumer.
-type ingestRequest struct {
-	Store string   `json:"store"`
-	Keys  []string `json:"keys"`
-}
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("store")

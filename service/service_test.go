@@ -16,6 +16,7 @@ import (
 	"time"
 
 	knw "repro"
+	"repro/internal/httpx"
 	"repro/store"
 )
 
@@ -116,7 +117,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			batch := keyBatch(name, lo, hi)
 			if lo%2000 == 0 {
 				// JSON form, store name in the body.
-				body, _ := json.Marshal(ingestRequest{Store: name, Keys: batch})
+				body, _ := json.Marshal(httpx.IngestDoc{Store: name, Keys: batch})
 				resp, out := post(t, hs.URL+"/v1/ingest", "application/json", body)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("JSON ingest: HTTP %d: %s", resp.StatusCode, out)
@@ -131,7 +132,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			}
 		}
 		// Re-ingest a prefix to prove distinct counting, not counting.
-		body, _ := json.Marshal(ingestRequest{Store: name, Keys: keyBatch(name, 0, min(500, n))})
+		body, _ := json.Marshal(httpx.IngestDoc{Store: name, Keys: keyBatch(name, 0, min(500, n))})
 		post(t, hs.URL+"/v1/ingest", "application/json", body)
 	}
 
@@ -185,7 +186,7 @@ func TestServiceWindowedEstimate(t *testing.T) {
 	_, hs := newTestServer(t, cfg)
 
 	ingest := func(lo, hi int) {
-		body, _ := json.Marshal(ingestRequest{Store: "t/m", Keys: keyBatch("w", lo, hi)})
+		body, _ := json.Marshal(httpx.IngestDoc{Store: "t/m", Keys: keyBatch("w", lo, hi)})
 		resp, out := post(t, hs.URL+"/v1/ingest", "application/json", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest: HTTP %d: %s", resp.StatusCode, out)
@@ -225,9 +226,9 @@ func TestMergeEndpoint(t *testing.T) {
 	_, hsA := newTestServer(t, testConfig(""))
 	_, hsB := newTestServer(t, testConfig(""))
 
-	bodyA, _ := json.Marshal(ingestRequest{Store: "t/m", Keys: keyBatch("k", 0, 3000)})
+	bodyA, _ := json.Marshal(httpx.IngestDoc{Store: "t/m", Keys: keyBatch("k", 0, 3000)})
 	post(t, hsA.URL+"/v1/ingest", "application/json", bodyA)
-	bodyB, _ := json.Marshal(ingestRequest{Store: "t/m", Keys: keyBatch("k", 2000, 5000)})
+	bodyB, _ := json.Marshal(httpx.IngestDoc{Store: "t/m", Keys: keyBatch("k", 2000, 5000)})
 	post(t, hsB.URL+"/v1/ingest", "application/json", bodyB)
 
 	_, env := get(t, hsA.URL+"/v1/snapshot?store=t/m")
@@ -257,7 +258,7 @@ func TestMergeEndpoint(t *testing.T) {
 // them panic the daemon.
 func TestHTTPErrorMapping(t *testing.T) {
 	srv, hs := newTestServer(t, testConfig(""))
-	body, _ := json.Marshal(ingestRequest{Store: "t/m", Keys: keyBatch("k", 0, 50)})
+	body, _ := json.Marshal(httpx.IngestDoc{Store: "t/m", Keys: keyBatch("k", 0, 50)})
 	post(t, hs.URL+"/v1/ingest", "application/json", body)
 
 	// 409: wrong kind, wrong options, wrong seed.
