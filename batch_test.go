@@ -222,3 +222,96 @@ func TestResetPreservesMergeability(t *testing.T) {
 		t.Fatal("Reset L0 state differs from a fresh same-seed sketch")
 	}
 }
+
+// FuzzAddBatchMatchesAdd drives AddBatchAll with keys, batch splits and
+// window events derived from the input, and checks every target
+// against a twin fed the same keys one Add at a time. The first byte
+// picks the settings: K, copies, the logarithm table, strict rescale,
+// a 62-bit universe, and whether sketches that cannot share a hash
+// phase ride along (an F0 with another seed, a reference F0, an L0).
+// Every following 3-byte group (op, a, b) is one step:
+//
+//   - op%8 < 6 ingests (op%8+1)·(b+1)·8 keys from a range picked by a,
+//     so ranges overlap and repeat, in batches of 1+5·(a^b) keys;
+//   - op%8 = 6 resets the bucket, as a window rotation does, so a
+//     fresh bucket shares hashing with a mature total;
+//   - op%8 = 7 merges a peer fed (b+1)·64 keys into the bucket, raising
+//     its offset and counters past what its own stream did.
+func FuzzAddBatchMatchesAdd(f *testing.F) {
+	f.Add([]byte{0x01, 5, 1, 40, 0, 9, 200, 6, 0, 0, 3, 2, 90})
+	f.Add([]byte{0x02, 5, 7, 255, 7, 3, 30, 4, 7, 255, 6, 0, 0, 1, 9, 99})
+	f.Add([]byte{0x7b, 5, 2, 255, 6, 0, 0, 2, 4, 120, 7, 9, 40, 5, 5, 60})
+	f.Add([]byte{0x37, 3, 1, 255, 5, 200, 255, 7, 1, 255, 0, 11, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		mode := data[0]
+		opts := []Option{
+			WithSeed(21),
+			WithK([]int{32, 64, 1024, 2048}[mode&3]),
+			WithCopies(1 + 2*int(mode>>2&1)),
+		}
+		if mode&0x08 != 0 {
+			opts = append(opts, WithLnTable())
+		}
+		if mode&0x10 != 0 {
+			opts = append(opts, WithStrictRescale())
+		}
+		if mode&0x20 != 0 {
+			opts = append(opts, WithUniverseBits(62))
+		}
+		build := func() []Estimator {
+			ests := []Estimator{NewF0(opts...), NewF0(opts...)} // total, bucket
+			if mode&0x40 != 0 {
+				other := append(append([]Option(nil), opts...), WithSeed(22))
+				ref := append(append([]Option(nil), opts...), WithReference())
+				ests = append(ests, NewF0(other...), NewF0(ref...), NewL0(opts...))
+			}
+			return ests
+		}
+		shared, twins := build(), build()
+		for steps := data[1:]; len(steps) >= 3; steps = steps[3:] {
+			op, a, b := steps[0]%8, steps[1], steps[2]
+			switch op {
+			case 6:
+				shared[1].(*F0).Reset()
+				twins[1].(*F0).Reset()
+			case 7:
+				peer := NewF0(opts...)
+				peer.AddBatch(fuzzKeys(a, (int(b)+1)*64))
+				if err := shared[1].(*F0).Merge(peer); err != nil {
+					t.Fatal(err)
+				}
+				if err := twins[1].(*F0).Merge(peer); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				keys := fuzzKeys(a, (int(op)+1)*(int(b)+1)*8)
+				for size := 1 + 5*int(a^b); len(keys) > 0; keys = keys[min(size, len(keys)):] {
+					AddBatchAll(keys[:min(size, len(keys))], shared...)
+				}
+				for _, k := range fuzzKeys(a, (int(op)+1)*(int(b)+1)*8) {
+					for _, tw := range twins {
+						tw.Add(k)
+					}
+				}
+			}
+		}
+		for i := range shared {
+			if !bytes.Equal(mustBytes(t, shared[i]), mustBytes(t, twins[i])) {
+				t.Fatalf("target %d (%s): AddBatchAll state diverged from per-key Add", i, shared[i].Name())
+			}
+		}
+	})
+}
+
+// fuzzKeys returns n keys from the range picked by a; ranges of nearby
+// a overlap.
+func fuzzKeys(a byte, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = (uint64(a)*1000 + uint64(i)) * 0x9e3779b97f4a7c15
+	}
+	return keys
+}

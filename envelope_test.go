@@ -5,6 +5,8 @@ import (
 	"encoding"
 	"strings"
 	"testing"
+
+	"repro/internal/binenc"
 )
 
 // wrapEnvelope frames a payload with the envelope header for kind, so
@@ -115,6 +117,64 @@ func TestOpenLegacyPayloads(t *testing.T) {
 			t.Fatalf("F0.UnmarshalBinary on legacy framing: %v", err)
 		}
 	}
+
+	// Writers have always emitted the exact-phase keys sorted, but a
+	// payload listing them unsorted or repeated names the same set:
+	// it loads to the same estimate and re-marshals canonical.
+	small := NewF0(WithSeed(93), WithEpsilon(0.3), WithCopies(1))
+	small.AddBatch([]uint64{500, 100, 400, 200, 300})
+	want := mustMarshal(t, small)
+	for _, exact := range [][]uint64{
+		{500, 300, 100, 400, 200},
+		{300, 100, 300, 500, 100, 200, 400, 400},
+	} {
+		back, err := Open(wrapEnvelope(KindF0, v1WithExact(t, small, exact)))
+		if err != nil {
+			t.Fatalf("exact keys %v: Open: %v", exact, err)
+		}
+		if got := back.Estimate(); got != 5 {
+			t.Errorf("exact keys %v: estimate %v, want 5", exact, got)
+		}
+		if !bytes.Equal(mustMarshal(t, back), want) {
+			t.Errorf("exact keys %v: re-marshal is not the sorted, deduplicated encoding", exact)
+		}
+	}
+}
+
+// v1WithExact returns f's unframed version-1 payload with its one
+// copy's exact-phase keys written as given, in order.
+func v1WithExact(t *testing.T, f *F0, exact []uint64) []byte {
+	t.Helper()
+	if len(f.fast) != 1 {
+		t.Fatal("v1WithExact needs a one-copy fast F0")
+	}
+	var w binenc.Writer
+	f.fast[0].AppendState(&w)
+	state := w.Buf
+	// Skip what precedes the small-F0 section: K, the counters, b,
+	// est, failed, rescales and drains.
+	r := binenc.Reader{Buf: state}
+	r.Uints(int(r.Uvarint()))
+	r.Varint()
+	r.Varint()
+	r.Bool()
+	r.Uvarint()
+	r.Uvarint()
+	start := len(state) - len(r.Buf)
+	r.Uints(1 << 10)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	end := len(state) - len(r.Buf)
+
+	out := binenc.Writer{}
+	out.Uvarint(f0Magic)
+	out.Uvarint(1)
+	appendSettings(&out, f.cfg)
+	out.Buf = append(out.Buf, state[:start]...)
+	out.Uints(exact)
+	out.Buf = append(out.Buf, state[end:]...)
+	return out.Buf
 }
 
 func mustMarshal(t *testing.T, e Estimator) []byte {

@@ -2,6 +2,7 @@ package knw
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -14,8 +15,10 @@ import (
 // 9), amplified by the median over independent copies.
 //
 // An F0 is not safe for concurrent use: give each writer its own
-// sketch built with the same options and seed, and Merge them (counters
-// are max-mergeable). The store package's delta slots do exactly that.
+// sketch built with the same options and seed and Merge them (counters
+// are max-mergeable), or serialize the writers. The store package does
+// the latter: its delta slots buffer each writer's hashed keys, and the
+// entry's sketches take them under the entry lock.
 type F0 struct {
 	cfg  settings
 	fast []*core.FastSketch
@@ -125,6 +128,59 @@ func (f *F0) AddBatch(keys []uint64) {
 	}
 	for _, s := range f.ref {
 		s.AddBatch(keys)
+	}
+}
+
+// AddBatchAll records the keys in each of ests, leaving each exactly
+// as its own AddBatch would. F0s with equal settings (options and
+// seed) draw equal hash functions, so each of their copies hashes a
+// chunk of keys once for all of them, and only as deep as some of
+// them can still change (core.AddBatchShared). Equal settings, not
+// shared pointers, decide this: the draw cache may hand equal
+// settings different but equal draws. Any other sketch — L0, the
+// reference implementation, an F0 with other settings — takes the
+// batch through its own AddBatch. The sketches must be distinct.
+func AddBatchAll(keys []uint64, ests ...Estimator) {
+	for i, est := range ests {
+		f, ok := est.(*F0)
+		if !ok || f.cfg.reference {
+			est.AddBatch(keys)
+			continue
+		}
+		if slices.ContainsFunc(ests[:i], f.sharesDraws) {
+			continue // recorded with an earlier sketch's group
+		}
+		var buf [4]*F0
+		group := append(buf[:0], f)
+		for _, o := range ests[i+1:] {
+			if f.sharesDraws(o) {
+				group = append(group, o.(*F0))
+			}
+		}
+		addBatchShared(group, keys)
+	}
+}
+
+// sharesDraws reports whether o is a fast F0 with f's settings.
+func (f *F0) sharesDraws(o Estimator) bool {
+	g, ok := o.(*F0)
+	return ok && g.cfg == f.cfg
+}
+
+// addBatchShared records keys in every F0 of group, all of one fast
+// setting, hashing each chunk once per copy.
+func addBatchShared(group []*F0, keys []uint64) {
+	if len(group) == 1 {
+		group[0].AddBatch(keys)
+		return
+	}
+	var buf [4]*core.FastSketch
+	for c := range group[0].fast {
+		ss := buf[:0]
+		for _, g := range group {
+			ss = append(ss, g.fast[c])
+		}
+		core.AddBatchShared(ss, keys)
 	}
 }
 

@@ -148,80 +148,176 @@ func (s *FastSketch) Add(key uint64) {
 // one chunk walk precomputes every hash the update path needs.
 const batchChunk = rough.ChunkSize
 
+// chunkHashes is the hash phase's output for one chunk of keys: what
+// the apply phase of every sketch sharing the hash functions reads.
+type chunkHashes struct {
+	lvls, bins [batchChunk]int32 // lsb(h1(key)); h3(h2(key)), 0 where skipped
+	rsc        rough.Scratch
+}
+
 // AddBatch processes the keys exactly as sequential Add calls would —
 // the resulting state is identical update for update — but evaluates
 // each hash family (the sketch's own h1/h2/h3 and the rough
 // estimator's nine per-key evaluations) over the whole chunk in tight
 // loops, so per-key call overhead and hash-to-hash data dependencies
-// are amortized across the batch. Only the O(1) counter writes, phase
-// advances, and rescale checks remain per key, preserving the exact
-// scalar state machine.
+// are amortized across the batch, and skips h2/h3 for keys that cannot
+// change the state (AddBatchShared). Only the O(1) counter writes,
+// phase advances, and rescale checks remain per key, preserving the
+// exact scalar state machine.
 func (s *FastSketch) AddBatch(keys []uint64) {
-	var red, z [batchChunk]uint64
-	var lvls, bits, cidx [batchChunk]int32
-	var rsc rough.Scratch
-	var cest [batchChunk]uint64
-	// The first rough consultation of the batch always runs (the
-	// estimate may already exceed 2^est after a merge or restore);
-	// after that, consultations replay only at the recorded change
-	// points — between them the estimate is provably unmoved, so the
-	// skipped checks could not have fired.
-	checked := false
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > batchChunk {
-			n = batchChunk
+	ss := [1]*FastSketch{s}
+	AddBatchShared(ss[:], keys)
+}
+
+// AddBatchShared records the keys in every sketch of ss, leaving each
+// exactly as its own AddBatch (and so per-key Add) would. The sketches
+// must be distinct and share their hash functions: equal Configs drawn
+// from one seed. Each chunk of keys goes through two phases:
+//
+//   - the hash phase runs once, over ss[0]'s functions: the levels
+//     lsb(h1(key)) of every key, and the bins h3(h2(key)) and the rough
+//     estimator's counter indices of only the keys that can still
+//     change some sketch (see floors);
+//   - the apply phase runs per sketch: the rough estimator's chunk,
+//     then per key the counter writes, phase advances and rescale
+//     checks.
+//
+// The floors are read from every sketch at the start of the chunk and
+// combined by taking the minimum. Within a chunk counters, offsets and
+// the small-F0 structure only grow, so a key below a sketch's floor at
+// the chunk's start stays a no-op for it throughout the chunk, and the
+// minimum hashes every key any sketch needs.
+func AddBatchShared(ss []*FastSketch, keys []uint64) {
+	for _, t := range ss[1:] {
+		if t.cfg != ss[0].cfg {
+			panic("core: shared batch over incompatible sketches")
 		}
+	}
+	var h chunkHashes
+	var cidx [batchChunk]int32
+	var cest [batchChunk]uint64
+	for first := true; len(keys) > 0; first = false {
+		n := min(len(keys), batchChunk)
 		chunk := keys[:n]
 		keys = keys[n:]
-		hashfn.ReduceChunk(chunk, red[:n])
-		s.h1.HashFieldChunkReduced(red[:n], z[:n])
-		for i, v := range z[:n] {
-			lvls[i] = int32(bitutil.LSB(v&s.keyMask, s.cfg.LogN))
+		floor, rf := ss[0].floors()
+		for _, t := range ss[1:] {
+			f, tf := t.floors()
+			floor = min(floor, f)
+			rf.Lower(tf)
 		}
+		ss[0].hashChunk(chunk, floor, rf, &h)
+		for _, t := range ss {
+			t.applyChunk(chunk, &h, first, &cidx, &cest)
+		}
+	}
+}
+
+// floors returns the levels below which s reads no key's bin and, per
+// rough sub-estimator, at or below which no key changes s's rough
+// estimator. A bin is read by the small-F0 structure until it is full,
+// by the primary counter write when lvl ≥ b, and by the secondary
+// write of a copy phase when lvl ≥ bPend > b; so the floor is b once
+// the small-F0 structure is full, and 0 (every key) before.
+func (s *FastSketch) floors() (int, rough.Floors) {
+	floor := 0
+	if s.small.full() {
+		floor = s.b
+	}
+	return floor, s.re.Floors()
+}
+
+// hashChunk is the hash phase of AddBatchShared: it fills h for the
+// keys, evaluating h2/h3 only for keys at level floor or above, and
+// the rough estimator's only above its floors. It returns how many
+// keys' bins it hashed and how many (key, sub-estimator) pairs of the
+// rough estimator's.
+func (s *FastSketch) hashChunk(keys []uint64, floor int, rf rough.Floors, h *chunkHashes) (nBins, nRough int) {
+	n := len(keys)
+	var red, z [batchChunk]uint64
+	hashfn.ReduceChunk(keys, red[:n])
+	s.h1.HashFieldChunkReduced(red[:n], z[:n])
+	for i, v := range z[:n] {
+		h.lvls[i] = int32(bitutil.LSB(v&s.keyMask, s.cfg.LogN))
+	}
+	nBins = n
+	if floor == 0 {
 		s.h2.HashChunkReduced(red[:n], z[:n])
-		s.h3.HashChunk32(z[:n], bits[:n])
-		s.re.PrecomputeReduced(red[:n], &rsc)
-		// The rough estimator evolves independently of the main
-		// counters, so its chunk can be applied up front; the per-key
-		// consultations below replay against the recorded change
-		// points, exactly as the scalar path would have seen them.
-		r, m := s.re.ApplyChunk(&rsc, n, &cidx, &cest)
-		p := 0
-		if s.small.overflow {
-			// Past the exact regime, observing a key is just an OR into
-			// the bit array — fold the whole chunk in one pass.
-			for _, b := range bits[:n] {
+		s.h3.HashChunk32(z[:n], h.bins[:n])
+	} else {
+		// Gather the keys at or above the floor into z, hash them in
+		// place, scatter their bins back. A skipped key's bin is 0, a
+		// valid index no sketch writes through (its level is below b).
+		var pos, out [batchChunk]int32
+		m := 0
+		for i, l := range h.lvls[:n] {
+			pos[m], z[m] = int32(i), red[i]
+			if int(l) >= floor {
+				m++
+			} else {
+				h.bins[i] = 0
+			}
+		}
+		s.h2.HashChunkReduced(z[:m], z[:m])
+		s.h3.HashChunk32(z[:m], out[:m])
+		for q, i := range pos[:m] {
+			h.bins[i] = out[q]
+		}
+		nBins = m
+	}
+	return nBins, s.re.PrecomputeAbove(red[:n], rf, &h.rsc)
+}
+
+// applyChunk is the apply phase of AddBatchShared for one sketch.
+// first marks the batch's first chunk: the batch's first rough
+// consultation always runs (the estimate may already exceed 2^est
+// after a merge or restore); after that, consultations replay only at
+// the recorded change points — between them the estimate is provably
+// unmoved, so the skipped checks could not have fired.
+func (s *FastSketch) applyChunk(keys []uint64, h *chunkHashes, first bool, cidx *[batchChunk]int32, cest *[batchChunk]uint64) {
+	// The rough estimator evolves independently of the main counters,
+	// so its chunk can be applied up front; the per-key consultations
+	// below replay against the recorded change points, exactly as the
+	// scalar path would have seen them.
+	r, m := s.re.ApplyChunk(&h.rsc, len(keys), cidx, cest)
+	checked := !first
+	p := 0
+	if s.small.overflow {
+		// Past the exact regime, observing a key is just an OR into
+		// the bit array — fold the whole chunk in one pass, unless the
+		// array is full.
+		if !s.small.full() {
+			for _, b := range h.bins[:len(keys)] {
 				s.small.bv.Set(int(b))
 			}
-			for i := range chunk {
-				s.applyCounter(int(lvls[i]), int(bits[i]))
-				if p < m && int(cidx[p]) == i {
-					r = cest[p]
-					p++
-				} else if checked {
-					continue
-				}
-				if r > 0 && r > uint64(1)<<uint(s.est) {
-					s.onRoughChange(r)
-				}
-				checked = true
-			}
-		} else {
-			for i, key := range chunk {
-				s.applyHashed(key, int(lvls[i]), int(bits[i]))
-				if p < m && int(cidx[p]) == i {
-					r = cest[p]
-					p++
-				} else if checked {
-					continue
-				}
-				if r > 0 && r > uint64(1)<<uint(s.est) {
-					s.onRoughChange(r)
-				}
-				checked = true
-			}
 		}
+		for i := range keys {
+			s.applyCounter(int(h.lvls[i]), int(h.bins[i]))
+			if p < m && int(cidx[p]) == i {
+				r = cest[p]
+				p++
+			} else if checked {
+				continue
+			}
+			if r > 0 && r > uint64(1)<<uint(s.est) {
+				s.onRoughChange(r)
+			}
+			checked = true
+		}
+		return
+	}
+	for i, key := range keys {
+		s.applyHashed(key, int(h.lvls[i]), int(h.bins[i]))
+		if p < m && int(cidx[p]) == i {
+			r = cest[p]
+			p++
+		} else if checked {
+			continue
+		}
+		if r > 0 && r > uint64(1)<<uint(s.est) {
+			s.onRoughChange(r)
+		}
+		checked = true
 	}
 }
 

@@ -157,21 +157,17 @@ func counterSums(cs []byte) (a, t int) {
 }
 
 // appendState serializes the small-F0 companion. The exact-key set is
-// written sorted so the encoding is canonical: equal states always
-// marshal to equal bytes (map iteration order would otherwise leak
-// into the payload).
+// held sorted, so the encoding is canonical: equal states always
+// marshal to equal bytes.
 func (s *smallF0) appendState(w *binenc.Writer) {
-	keys := make([]uint64, 0, len(s.exact))
-	for k := range s.exact {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	w.Uints(keys)
+	w.Uints(s.exact)
 	w.Bool(s.overflow)
 	w.Uints(s.bv.Words())
 }
 
-// restoreState loads the small-F0 companion.
+// restoreState loads the small-F0 companion. Payloads whose exact keys
+// are unsorted or repeated load as the set they name, sorted and
+// deduplicated.
 func (s *smallF0) restoreState(r *binenc.Reader, k int) error {
 	keys := r.Uints(ExactCap + 1)
 	overflow := r.Bool()
@@ -182,10 +178,8 @@ func (s *smallF0) restoreState(r *binenc.Reader, k int) error {
 	if len(words) != len(s.bv.Words()) {
 		return binenc.ErrCorrupt
 	}
-	s.exact = make(map[uint64]struct{}, len(keys))
-	for _, key := range keys {
-		s.exact[key] = struct{}{}
-	}
+	slices.Sort(keys)
+	s.exact = slices.Compact(keys)
 	s.overflow = overflow
 	s.bv.Load(words)
 	return nil

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/ballsbins"
 	"repro/internal/bitutil"
@@ -12,17 +12,20 @@ import (
 // implementations. It answers exactly while F0 < ExactCap and via a
 // 2K-bit balls-and-bins array while F0 = O(K), and decides when the
 // Figure 3 estimator takes over (Theorem 4's switch at F̃B ≥ K/16).
+//
+// The exact set is a sorted slice of at most ExactCap keys (ExactCap+1
+// when restored from a payload that held that many), grown on demand:
+// an empty sketch holds none, and a full set takes at most 1 KiB. It keeps
+// the keys it holds when the exact phase ends, since the encoding
+// carries them.
 type smallF0 struct {
-	exact    map[uint64]struct{}
+	exact    []uint64 // ascending, distinct
 	overflow bool
 	bv       *bitutil.BitVector // K′ = 2K bits, indexed by h3's full range
 }
 
 func newSmallF0(k int) smallF0 {
-	return smallF0{
-		exact: make(map[uint64]struct{}, ExactCap+1),
-		bv:    bitutil.NewBitVector(2 * k),
-	}
+	return smallF0{bv: bitutil.NewBitVector(2 * k)}
 }
 
 // observe records the item. bit is h3(h2(i)) in [0, 2K) — the paper has
@@ -32,16 +35,21 @@ func (s *smallF0) observe(key uint64, bit int) {
 	if s.overflow {
 		return
 	}
-	if _, seen := s.exact[key]; seen {
+	i, seen := slices.BinarySearch(s.exact, key)
+	if seen {
 		return
 	}
 	if len(s.exact) < ExactCap {
-		s.exact[key] = struct{}{}
+		s.exact = slices.Insert(s.exact, i, key)
 		return
 	}
 	// The (ExactCap+1)-th distinct item: the exact phase is over.
 	s.overflow = true
 }
+
+// full reports whether no observation can change the structure: the
+// exact phase is over and every bit of the array is set.
+func (s *smallF0) full() bool { return s.overflow && s.bv.Count() == s.bv.Len() }
 
 // estimate returns (value, true) when the small-F0 machinery should
 // answer — exactly (F0 < ExactCap) or via the bit array (F̃B < K/16) —
@@ -65,39 +73,46 @@ func (s *smallF0) estimate(k int) (float64, bool) {
 // mergeFrom merges another small-F0 structure built with the same
 // hashes (bit arrays OR; exact sets union with overflow propagation).
 // Overflow is decided from the union's size before any key moves, so
-// an overflowing merge leaves s's exact set as it was and the result
-// does not depend on map iteration order: equal inputs merge to equal
-// bytes.
+// an overflowing merge leaves s's exact set as it was.
 func (s *smallF0) mergeFrom(o *smallF0) {
 	s.bv.Or(o.bv)
 	if s.overflow || o.overflow {
 		s.overflow = true
 		return
 	}
-	union := len(s.exact)
-	for key := range o.exact {
-		if _, seen := s.exact[key]; !seen {
-			union++
+	// Each set holds at most ExactCap+1 keys (a restored payload may
+	// carry that many), so the union fits the stack.
+	var buf [2 * (ExactCap + 1)]uint64
+	union := buf[:0]
+	a, b := s.exact, o.exact
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			union, a = append(union, a[0]), a[1:]
+		case b[0] < a[0]:
+			union, b = append(union, b[0]), b[1:]
+		default:
+			union, a, b = append(union, a[0]), a[1:], b[1:]
 		}
 	}
-	if union > ExactCap {
+	union = append(append(union, a...), b...)
+	if len(union) > ExactCap {
 		s.overflow = true
 		return
 	}
-	maps.Copy(s.exact, o.exact)
+	s.exact = append(s.exact[:0], union...)
 }
 
 // copyFrom makes s equal to o, reusing s's storage.
 func (s *smallF0) copyFrom(o *smallF0) {
-	clear(s.exact)
-	maps.Copy(s.exact, o.exact)
+	s.exact = append(s.exact[:0], o.exact...)
 	s.overflow = o.overflow
 	s.bv.CopyFrom(o.bv)
 }
 
 // reset clears the structure for reuse (see FastSketch.Reset).
 func (s *smallF0) reset() {
-	clear(s.exact)
+	s.exact = s.exact[:0]
 	s.overflow = false
 	s.bv.Reset()
 }

@@ -30,6 +30,7 @@ package rough
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bitutil"
 	"repro/internal/hashfn"
@@ -227,26 +228,92 @@ func (e *Estimator) Precompute(keys []uint64, sc *Scratch) {
 // keys' M61 reductions (the core batch paths compute them for their
 // own hash chunking; sharing skips a second reduction pass).
 func (e *Estimator) PrecomputeReduced(red []uint64, sc *Scratch) {
+	e.PrecomputeAbove(red, Floors{-1, -1, -1}, sc)
+}
+
+// Floors holds, per sub-estimator, a level at or below which no key
+// can change that sub-estimator's counters (see Estimator.Floors).
+type Floors [3]int8
+
+// Floors returns each sub-estimator's smallest counter (−1 while one is
+// still empty). A key whose level in sub-estimator j is at or below
+// floor j cannot raise any counter of j, wherever h3 sends it; counters
+// only grow, so the floors stay valid until the next Reset.
+func (e *Estimator) Floors() Floors {
+	var f Floors
+	for j := range e.subs {
+		f[j] = slices.Min(e.subs[j].c)
+	}
+	return f
+}
+
+// Lower lowers f to o where o is lower: the floors of several
+// estimators sharing one Scratch are their minimum.
+func (f *Floors) Lower(o Floors) {
+	for j, v := range o {
+		f[j] = min(f[j], v)
+	}
+}
+
+// PrecomputeAbove is PrecomputeReduced that evaluates h2 and h3 only
+// for keys that can change some estimator with the given floors: a key
+// whose level in sub-estimator j is at or below floors[j] is recorded
+// at level −1 and counter 0, which ApplyChunk never applies (every
+// counter is ≥ −1). Applying the result to an estimator whose floors
+// are at or above the given ones is state-identical to Update of each
+// key, so floors read before a chunk serve every update in it. It
+// returns the number of (key, sub-estimator) pairs it hashed.
+func (e *Estimator) PrecomputeAbove(red []uint64, floors Floors, sc *Scratch) (hashed int) {
 	n := len(red)
 	if n > ChunkSize {
 		panic("rough: chunk exceeds ChunkSize")
 	}
 	mask := bitutil.Mask(e.logN)
 	var z [ChunkSize]uint64
+	var pos, idx [ChunkSize]int32
 	for j := range e.subs {
 		s := &e.subs[j]
+		lvls, out := &sc.lvl[j], &sc.idx[j]
 		s.h1.HashFieldChunkReduced(red[:n], z[:n])
 		for i, v := range z[:n] {
-			sc.lvl[j][i] = int8(bitutil.LSB(v&mask, e.logN))
+			lvls[i] = int8(bitutil.LSB(v&mask, e.logN))
 		}
-		s.h2.HashChunkReduced(red[:n], z[:n])
-		if tab, ok := s.h3.(*hashfn.Tabulation32); ok {
-			tab.HashChunk32(z[:n], sc.idx[j][:n])
-		} else {
-			for i, v := range z[:n] {
-				sc.idx[j][i] = int32(s.h3.Hash(v))
+		if floors[j] < 0 {
+			s.h2.HashChunkReduced(red[:n], z[:n])
+			s.hash3Chunk(z[:n], out[:n])
+			hashed += n
+			continue
+		}
+		// Gather the keys above the floor into z, hash them in place,
+		// scatter their counter indices back.
+		m := 0
+		for i, l := range lvls[:n] {
+			pos[m], z[m] = int32(i), red[i]
+			if l > floors[j] {
+				m++
+			} else {
+				lvls[i], out[i] = -1, 0
 			}
 		}
+		s.h2.HashChunkReduced(z[:m], z[:m])
+		s.hash3Chunk(z[:m], idx[:m])
+		for q, i := range pos[:m] {
+			out[i] = idx[q]
+		}
+		hashed += m
+	}
+	return hashed
+}
+
+// hash3Chunk writes h3(xs[i]) into out[i], devirtualized for the
+// tabulation h3.
+func (s *sub) hash3Chunk(xs []uint64, out []int32) {
+	if tab, ok := s.h3.(*hashfn.Tabulation32); ok {
+		tab.HashChunk32(xs, out)
+		return
+	}
+	for i, v := range xs {
+		out[i] = int32(s.h3.Hash(v))
 	}
 }
 

@@ -16,7 +16,8 @@ import "sync"
 // A Keyed is exactly as goroutine-safe as the estimator it wraps (the
 // batch scratch is pooled, not shared). F0 and L0 are not, so give each
 // writer its own Keyed over its own same-seed sketch and merge the
-// sketches, as the store package's delta slots do.
+// sketches. (The store package takes the other route: its delta slots
+// buffer each writer's hashed keys for the entry's sketches.)
 //
 // The default hasher is the documented seeded hash of hasher.go,
 // picking up the wrapped sketch's seed and universe width so that two

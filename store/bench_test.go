@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	knw "repro"
 )
@@ -52,29 +53,36 @@ func BenchmarkStoreIngest(b *testing.B) {
 
 // BenchmarkStoreIngestHashed measures the pre-hashed path the binary
 // frame codec feeds: slot-buffer copy (or direct apply) only, no key
-// bytes touched.
+// bytes touched. The windowed case drains every key into the total
+// and the live bucket of a 4-bucket ring, which share one hash phase.
 func BenchmarkStoreIngestHashed(b *testing.B) {
-	for _, batch := range []int{64, 1024, 8192} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			s, err := New(benchConfig())
-			if err != nil {
+	run := func(b *testing.B, cfg Config, batch int) {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		ks := make([]uint64, batch)
+		for i := range ks {
+			ks[i] = s.HashKey(fmt.Sprintf("user-%d", i))
+		}
+		b.SetBytes(int64(batch))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.IngestHashed("bench/t", ks); err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			ks := make([]uint64, batch)
-			for i := range ks {
-				ks[i] = s.HashKey(fmt.Sprintf("user-%d", i))
-			}
-			b.SetBytes(int64(batch))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.IngestHashed("bench/t", ks); err != nil {
-					b.Fatal(err)
-				}
-			}
-			s.Flush()
-		})
+		}
+		s.Flush()
 	}
+	for _, batch := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) { run(b, benchConfig(), batch) })
+	}
+	b.Run("windowed/batch=1024", func(b *testing.B) {
+		cfg := benchConfig()
+		cfg.Window = Window{Buckets: 4, Interval: time.Hour}
+		run(b, cfg, 1024)
+	})
 }
 
 // BenchmarkStoreIngestParallel is the contention case the slot

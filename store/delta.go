@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	knw "repro"
 	"repro/internal/metrics"
 )
 
@@ -144,12 +145,17 @@ func (s *Store) appendKeys(dst []uint64, strs []string, hashed []uint64) []uint6
 }
 
 // applyLocked feeds keys to the entry's total and, on windowed stores,
-// the current bucket. Callers hold e.mu and have rotated the ring.
+// the current bucket, in one pass: the two share settings and seed, so
+// knw.AddBatchAll hashes each key once for both. Callers hold e.mu and
+// have rotated the ring.
 func (e *entry) applyLocked(keys []uint64) {
-	e.total.AddBatch(keys)
+	targets := [2]knw.Estimator{e.total}
+	n := 1
 	if e.window != nil {
-		e.window.current().AddBatch(keys)
+		targets[1] = e.window.current()
+		n = 2
 	}
+	knw.AddBatchAll(keys, targets[:n]...)
 }
 
 // ingest is the shared body of Ingest and IngestHashed: exactly one of

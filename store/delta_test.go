@@ -413,22 +413,31 @@ func TestSlotBufferPerWriter(t *testing.T) {
 // the same batches in the same order — and on windowed stores so does
 // the current bucket. Both orders hold: batches over BatchKeys all go
 // direct, and batches that fit are drained by a read before the buffer
-// would overflow. Batches alternate Ingest and IngestHashed.
+// would overflow. Batches alternate Ingest and IngestHashed. The
+// rotated cases advance the clock one interval after a read barrier,
+// so the total and the bucket that goes live then — ring mates in
+// different states sharing each drain's hashing — are each checked
+// against their own reference: the total against every batch, the
+// bucket against the batches since the rotation.
 func TestLoneWriterIdentity(t *testing.T) {
 	for _, kind := range []knw.Kind{knw.KindF0, knw.KindL0} {
 		for _, windowed := range []bool{false, true} {
 			for _, tc := range []struct {
 				name      string
 				size, per int // batch size; batches per read barrier
+				rotate    int // batch before which the clock moves on; 0 for never
 			}{
-				{"direct", BatchKeys + 904, 0},
-				{"buffered", 1000, BatchKeys / 1000},
+				{"direct", BatchKeys + 904, 0, 0},
+				{"buffered", 1000, BatchKeys / 1000, 0},
+				{"direct/rotated", BatchKeys + 904, 0, 8},
+				{"buffered/rotated", 1000, BatchKeys / 1000, 8},
 			} {
 				t.Run(fmt.Sprintf("%s/windowed=%v/%s", kind, windowed, tc.name), func(t *testing.T) {
+					now := time.Unix(1_700_000_000, 0)
 					cfg := Config{
 						Kind:          kind,
 						Options:       []knw.Option{knw.WithEpsilon(0.2), knw.WithSeed(3)},
-						Now:           func() time.Time { return time.Unix(1_700_000_000, 0) },
+						Now:           func() time.Time { return now },
 						EpochInterval: -1,
 					}
 					if windowed {
@@ -438,8 +447,12 @@ func TestLoneWriterIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := s.newSketch()
+					ref, refBucket := s.newSketch(), s.newSketch()
 					for b := 0; b < 12; b++ {
+						if tc.rotate > 0 && b == tc.rotate {
+							now = now.Add(time.Minute)
+							refBucket = s.newSketch()
+						}
 						batch := keys("k", b*tc.size, (b+1)*tc.size)
 						hashed := make([]uint64, len(batch))
 						for i, k := range batch {
@@ -454,6 +467,7 @@ func TestLoneWriterIdentity(t *testing.T) {
 							t.Fatal(err)
 						}
 						ref.AddBatch(hashed)
+						refBucket.AddBatch(hashed)
 						if tc.per > 0 && (b+1)%tc.per == 0 {
 							if _, err := s.Estimate("t/m"); err != nil {
 								t.Fatal(err)
@@ -475,7 +489,7 @@ func TestLoneWriterIdentity(t *testing.T) {
 					e.mu.Lock()
 					bucket := appendSketch(nil, e.window.current())
 					e.mu.Unlock()
-					if !bytes.Equal(bucket, want) {
+					if !bytes.Equal(bucket, appendSketch(nil, refBucket)) {
 						t.Error("current bucket differs from one sketch fed the same batches")
 					}
 				})
