@@ -164,14 +164,13 @@ type Router struct {
 	// memMu guards the descriptor state it is rebuilt from, changeMu
 	// serializes local coordinators (Join/Leave), and ho is the current
 	// transition's handoff engine.
-	live        atomic.Pointer[ringView]
-	memMu       sync.Mutex
-	changeMu    sync.Mutex
-	cur         *RingDescriptor
-	curRing     *ring
-	pending     *RingDescriptor
-	pendingRing *ring
-	ho          *handoff
+	live     atomic.Pointer[ringView]
+	memMu    sync.Mutex
+	changeMu sync.Mutex
+	cur      *RingDescriptor
+	curRing  *ring
+	pending  *transition // nil when stable
+	ho       *handoff
 
 	// now/sleepFn are injectable for the fake-clock cutover tests.
 	now     func() time.Time
@@ -289,7 +288,7 @@ func (rt *Router) initMetrics(reg *metrics.Registry) {
 		localKeys: reg.NewCounter("knwd_cluster_local_keys_total",
 			"Routed key-replicas owned by this node itself."),
 		handoffStores: reg.NewCounter("knwd_handoff_stores_total",
-			"Store envelopes shipped to new owners by the handoff engine."),
+			"Store records shipped to new owners by the handoff engine."),
 		handoffKeys: reg.NewCounter("knwd_handoff_keys_total",
 			"Estimated distinct keys covered by shipped handoff envelopes."),
 		handoffBytes: reg.NewCounter("knwd_handoff_bytes_total",
@@ -299,7 +298,7 @@ func (rt *Router) initMetrics(reg *metrics.Registry) {
 		handoffErrors: reg.NewCounter("knwd_handoff_errors_total",
 			"Handoff push attempts that failed."),
 		handoffApplied: reg.NewCounter("knwd_handoff_applied_total",
-			"Inbound handoff envelopes merged into the local store."),
+			"Inbound handoff records merged into the local store."),
 		handoffSeconds: reg.NewHistogram("knwd_handoff_seconds",
 			"Wall time of successful handoff pushes.", metrics.DefBuckets),
 	}

@@ -15,7 +15,7 @@ import (
 // that hold the same descriptor compute identical vnode ownership with
 // no further coordination, exactly as the static peer list did.
 //
-// Wire form ("KNWM", the POST /v1/cluster/ring body):
+// Wire form ("KNWM"):
 //
 //	uvarint ringMagic ("KNWM")
 //	uvarint version (1)
@@ -24,6 +24,11 @@ import (
 //	uvarint replication
 //	uvarint member count
 //	bytes   member url, ×count (strictly ascending)
+//
+// The prepare body (POST /v1/cluster/ring) is two descriptors back to
+// back: the proposed one, then the coordinator's committed one it was
+// proposed from. Every member computes its handoff targets over that
+// pair, whatever ring it booted with.
 //
 // Decode enforces Validate, so every descriptor that exists in memory
 // is canonical: members sorted and unique, bounds sane. That makes
@@ -102,6 +107,35 @@ func (d *RingDescriptor) Encode(buf []byte) []byte {
 // rejecting trailing bytes — the exact inverse of Encode.
 func DecodeRingDescriptor(data []byte) (*RingDescriptor, error) {
 	r := binenc.Reader{Buf: data}
+	d, err := readRingDescriptor(&r)
+	return d, noTrailing(&r, err)
+}
+
+// encodePrepare is the prepare body: next, then the committed
+// descriptor from which it was proposed.
+func encodePrepare(next, from *RingDescriptor) []byte {
+	return from.Encode(next.Encode(nil))
+}
+
+// decodePrepare parses a prepare body, rejecting trailing bytes.
+func decodePrepare(data []byte) (next, from *RingDescriptor, err error) {
+	r := binenc.Reader{Buf: data}
+	if next, err = readRingDescriptor(&r); err == nil {
+		from, err = readRingDescriptor(&r)
+	}
+	return next, from, noTrailing(&r, err)
+}
+
+// noTrailing returns err, or an error if r has bytes left.
+func noTrailing(r *binenc.Reader, err error) error {
+	if err == nil && len(r.Buf) != 0 {
+		err = fmt.Errorf("cluster: ring descriptor has %d trailing bytes", len(r.Buf))
+	}
+	return err
+}
+
+// readRingDescriptor parses and validates one descriptor from r.
+func readRingDescriptor(r *binenc.Reader) (*RingDescriptor, error) {
 	r.Expect(ringMagic, "ring descriptor magic")
 	if v := r.Uvarint(); r.Err() == nil && v != ringVersion {
 		return nil, fmt.Errorf("cluster: unsupported ring descriptor version %d", v)
@@ -122,9 +156,6 @@ func DecodeRingDescriptor(data []byte) (*RingDescriptor, error) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("cluster: bad ring descriptor member: %w", err)
-	}
-	if len(r.Buf) != 0 {
-		return nil, fmt.Errorf("cluster: ring descriptor has %d trailing bytes", len(r.Buf))
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -33,8 +33,8 @@ import (
 //     version as the delta base (0 for first contact, and for
 //     everything when the instance id changed: a restarted peer's
 //     counters share nothing with its old life).
-//  3. The peer streams back one record per requested store in the peer
-//     record stream (records.go): a KNWD section delta
+//  3. The peer streams back one record per requested store in a
+//     StreamPull record stream (store/records.go): a KNWD section delta
 //     (envelope_delta.go) when it can prove what changed since the
 //     base — in the duplicate-heavy steady state of distinct counting,
 //     a near-empty frame — or a full KNWE envelope. Both are validated
@@ -53,6 +53,10 @@ import (
 // answer may predate. Under a healthy gossip loop it stays below two
 // gossip intervals.
 const StalenessHeader = "X-KNW-Staleness"
+
+// maxPeerBody bounds one inbound record stream (a first-contact pull or
+// a handoff can carry many full envelopes).
+const maxPeerBody = 256 << 20
 
 // gossipDigest is GET /v1/gossip/digest: the node's version vector.
 type gossipDigest struct {
@@ -453,7 +457,7 @@ func (g *gossiper) pull(peer string, instance uint64, want map[string]uint64, hd
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("pull: peer answered HTTP %d: %s", resp.StatusCode, msg)
 	}
-	rs, err := readRecords(resp.Body)
+	st, err := readStream(resp.Body, store.StreamPull)
 	if err != nil {
 		return nil, fmt.Errorf("pull: %w", err)
 	}
@@ -467,7 +471,7 @@ func (g *gossiper) pull(peer string, instance uint64, want map[string]uint64, hd
 		act.Stage("gossip_apply", d)
 	}()
 
-	retry, err := g.apply(peer, rs)
+	retry, err := g.apply(peer, st)
 	if err != nil {
 		return nil, fmt.Errorf("pull: %w", err)
 	}
@@ -477,31 +481,45 @@ func (g *gossiper) pull(peer string, instance uint64, want map[string]uint64, hd
 // apply installs a pulled record stream into peer's replicas — gossip's
 // sink for the record codec. It returns the names whose deltas hit
 // ErrStaleBase; anything else wrong with a record is an error.
-func (g *gossiper) apply(peer string, rs *recordStream) ([]string, error) {
+func (g *gossiper) apply(peer string, st store.Stream) ([]string, error) {
 	// The peer may have restarted between digest and pull; its versions
 	// then belong to the new life.
-	g.replicas.SetInstance(peer, rs.instance)
+	g.replicas.SetInstance(peer, st.Anchor)
 	var retry []string
-	err := rs.each(func(rec peerRecord) error {
-		if knw.IsDelta(rec.env) {
-			g.met.rxDeltaBytes.Add(uint64(len(rec.env)))
-			switch err := g.replicas.ApplyDelta(peer, rec.name, rec.env); {
+	for _, rec := range st.Records {
+		if knw.IsDelta(rec.Env) {
+			g.met.rxDeltaBytes.Add(uint64(len(rec.Env)))
+			switch err := g.replicas.ApplyDelta(peer, rec.Name, rec.Env); {
 			case errors.Is(err, store.ErrStaleBase):
-				retry = append(retry, rec.name)
+				retry = append(retry, rec.Name)
 			case err != nil:
 				g.met.applyErrors.Inc()
-				return fmt.Errorf("applying delta %q: %w", rec.name, err)
+				return retry, fmt.Errorf("applying delta %q: %w", rec.Name, err)
 			}
-			return nil
+			continue
 		}
-		g.met.rxFullBytes.Add(uint64(len(rec.env)))
-		if err := g.replicas.ApplyFull(peer, rec.name, rec.version, rec.env); err != nil {
+		g.met.rxFullBytes.Add(uint64(len(rec.Env)))
+		if err := g.replicas.ApplyFull(peer, rec.Name, rec.Version, rec.Env); err != nil {
 			g.met.applyErrors.Inc()
-			return fmt.Errorf("applying %q: %w", rec.name, err)
+			return retry, fmt.Errorf("applying %q: %w", rec.Name, err)
 		}
-		return nil
-	})
-	return retry, err
+	}
+	return retry, nil
+}
+
+// readStream reads one whole record stream of kind from body, refusing
+// more than maxPeerBody bytes, and decodes it with the store's one
+// reader. Read errors come back wrapped, so a http.MaxBytesReader body
+// still maps to 413.
+func readStream(body io.Reader, kind store.StreamKind) (store.Stream, error) {
+	data, err := io.ReadAll(io.LimitReader(body, maxPeerBody+1))
+	if err != nil {
+		return store.Stream{}, fmt.Errorf("reading record stream: %w", err)
+	}
+	if len(data) > maxPeerBody {
+		return store.Stream{}, fmt.Errorf("record stream exceeds %d bytes", maxPeerBody)
+	}
+	return store.DecodeStream(data, kind)
 }
 
 func (g *gossiper) staleness() time.Duration {
@@ -596,7 +614,7 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 		httpx.Fail(w, httpx.ReadStatus(err), err)
 		return
 	}
-	if len(req.Versions) > maxPeerRecords {
+	if len(req.Versions) > store.MaxStreamRecords {
 		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("pull requests %d stores", len(req.Versions)))
 		return
 	}
@@ -606,7 +624,7 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 
-	var rw recordWriter
+	sw := store.StreamWriter{Header: store.StreamHeader{Kind: store.StreamPull, Anchor: g.instance}}
 	for _, name := range names {
 		base := req.Versions[name]
 		if req.Instance != g.instance {
@@ -618,7 +636,7 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 		if err != nil || ds.Env == nil {
 			continue // unknown here, or already current
 		}
-		rw.add(peerRecord{name: name, version: ds.Version, env: ds.Env})
+		sw.Add(name, ds.Version, ds.Env)
 		if ds.Delta {
 			g.met.txDeltaBytes.Add(uint64(len(ds.Env)))
 			g.met.txDeltas.Inc()
@@ -627,10 +645,10 @@ func (rt *Router) HandleGossipPull(w http.ResponseWriter, r *http.Request) {
 			g.met.txFulls.Inc()
 		}
 	}
-	head := rw.head(g.instance)
+	head := sw.Head()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(rw.body.Buf)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(sw.Body())))
 	w.WriteHeader(http.StatusOK)
 	w.Write(head)
-	w.Write(rw.body.Buf)
+	w.Write(sw.Body())
 }

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -27,14 +25,15 @@ import (
 // count once), so the target set errs wide: any peer that gains
 // ownership of any hash interval we own today gets our full envelopes.
 //
-// The push body is the peer record stream gossip pulls use (records.go),
-// one record per store: its all-time envelope and, for a windowed
-// store, its live window's union. The pending epoch the transfer serves
-// and the source member ride in the URL (?epoch=&source=), for the
-// receiver's log. The push stays a push because only the old owners
-// can compute what moved: they hold the cluster's committed ring,
-// while a node started with -join boots on a one-member ring and, once
-// it adopts the pending epoch, would see itself owning everything.
+// The push body is a StreamHandoff record stream (store/records.go):
+// the source member and the pending epoch the transfer serves in its
+// header, then one record per store with its all-time envelope and, for
+// a windowed store, its ring. The receiver merges the ring bucket by
+// bucket by epoch (store.MergeRing), so keys keep the bucket they
+// arrived in. Every member computes its targets from the committed ring
+// the coordinator proposed from, which the prepare body carries
+// (descriptor.go): a node started with -join boots on a one-member ring
+// and would otherwise see itself owning everything.
 //
 // Pushes retry with capped exponential backoff until they succeed, the
 // attempt budget runs out, or a newer epoch supersedes the transition;
@@ -130,7 +129,7 @@ func (rt *Router) HandoffStatus(epoch uint64) HandoffStatus {
 	committed := rt.cur.Epoch
 	pending := uint64(0)
 	if rt.pending != nil {
-		pending = rt.pending.Epoch
+		pending = rt.pending.next.Epoch
 	}
 	rt.memMu.Unlock()
 	if h != nil && h.epoch == epoch {
@@ -158,15 +157,16 @@ func (h *handoff) status() HandoffStatus {
 
 // handoffTargets computes the peers this node must push to: every
 // member of the pending ring that newly owns a hash interval this node
-// owns in the committed ring. Ownership is piecewise constant between
-// ring points, so evaluating the owner sets at every point hash of
-// both rings covers every interval exactly once.
+// owns in the ring the transition starts from — the coordinator's
+// committed ring, whatever ring this node booted with. Ownership is
+// piecewise constant between ring points, so evaluating the owner sets
+// at every point hash of both rings covers every interval exactly once.
 func handoffTargets(v *ringView) []string {
 	if v.next == nil || v.self < 0 {
 		return nil
 	}
-	hashes := make([]uint64, 0, len(v.cur.points)+len(v.next.points))
-	for _, p := range v.cur.points {
+	hashes := make([]uint64, 0, len(v.from.points)+len(v.next.points))
+	for _, p := range v.from.points {
 		hashes = append(hashes, p.hash)
 	}
 	for _, p := range v.next.points {
@@ -184,10 +184,10 @@ func handoffTargets(v *ringView) []string {
 			continue
 		}
 		first, prev = false, hp
-		curBuf = v.cur.owners(hp, v.curRepl, curBuf)
+		curBuf = v.from.owners(hp, v.fromRepl, curBuf)
 		selfOwns := false
 		for _, m := range curBuf {
-			if v.cur.members[m] == self {
+			if v.from.members[m] == self {
 				selfOwns = true
 				break
 			}
@@ -203,7 +203,7 @@ func handoffTargets(v *ringView) []string {
 				continue
 			}
 			for _, c := range curBuf {
-				if v.cur.members[c] == url {
+				if v.from.members[c] == url {
 					continue outer // owned it before: nothing new to ship
 				}
 			}
@@ -287,12 +287,11 @@ func (h *handoff) pause(d time.Duration) bool {
 	}
 }
 
-// pushHandoff builds one record stream from live snapshots and
-// delivers it. stores counts the envelopes shipped (all-time and
-// window); keys is the estimated distinct-key mass shipped (the sum of
-// the shipped stores' all-time estimates — what knwd_handoff_keys_total
-// accumulates). permanent marks 4xx rejections, which a retry cannot
-// fix.
+// pushHandoff builds one record stream from the live stores and
+// delivers it. stores counts the records shipped; keys is the
+// estimated distinct-key mass shipped (the sum of the shipped stores'
+// all-time estimates — what knwd_handoff_keys_total accumulates).
+// permanent marks 4xx rejections, which a retry cannot fix.
 func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbytes uint64, err error, permanent bool) {
 	act := rt.tracer.StartLocal("handoff.push")
 	act.SetPeer(peer)
@@ -307,37 +306,21 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 		rt.tracer.FinishLocal(act, err)
 	}()
 
-	windowed := rt.local.Window().Buckets > 0
-	var rw recordWriter
+	sw := store.StreamWriter{Header: store.StreamHeader{Kind: store.StreamHandoff, Source: rt.cfg.Self, Anchor: epoch}}
 	var keyMass float64
 	for _, name := range rt.local.Names() {
-		env, est, serr := rt.local.SnapshotEstimate(name, nil)
+		est, serr := rt.local.AppendRecord(&sw, name)
 		if errors.Is(serr, store.ErrNotFound) {
-			continue // deleted between Names and Snapshot
+			continue // deleted between Names and AppendRecord
 		}
 		if serr != nil {
 			return 0, 0, 0, serr, false
 		}
-		rec := peerRecord{name: name, env: env}
 		stores++
 		keyMass += est
-		if windowed {
-			wenv, werr := rt.local.WindowSnapshot(name, nil)
-			switch {
-			case werr == nil:
-				rec.window = wenv
-				stores++
-			case !errors.Is(werr, store.ErrNotFound) && !errors.Is(werr, store.ErrNotWindowed):
-				return 0, 0, 0, werr, false
-			}
-		}
-		rw.add(rec)
 	}
-	payload := append(rw.head(0), rw.body.Buf...)
-
-	u := peer + "/v1/cluster/handoff?epoch=" + strconv.FormatUint(epoch, 10) +
-		"&source=" + url.QueryEscape(rt.cfg.Self)
-	req, rerr := http.NewRequest(http.MethodPost, u, bytes.NewReader(payload))
+	payload := append(sw.Head(), sw.Body()...)
+	req, rerr := http.NewRequest(http.MethodPost, peer+"/v1/cluster/handoff", bytes.NewReader(payload))
 	if rerr != nil {
 		return 0, 0, 0, rerr, false
 	}
@@ -365,17 +348,14 @@ func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbyt
 // epochs this node has already moved past are accepted rather than
 // bounced — bouncing could only lose data.
 func (rt *Router) HandleHandoff(w http.ResponseWriter, r *http.Request) {
-	rs, err := readRecords(http.MaxBytesReader(w, r.Body, maxPeerBody))
+	st, err := readStream(http.MaxBytesReader(w, r.Body, maxPeerBody), store.StreamHandoff)
 	if err != nil {
 		httpx.Fail(w, httpx.ReadStatus(err), fmt.Errorf("handoff: %w", err))
 		return
 	}
-	q := r.URL.Query()
-	epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
-	source := q.Get("source")
 	act := trace.FromContext(r.Context())
 	t0 := time.Now()
-	applied, err := rt.mergeRecords(rs)
+	applied, err := rt.mergeRecords(st)
 	if err != nil {
 		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("handoff: %w", err))
 		return
@@ -384,40 +364,29 @@ func (rt *Router) HandleHandoff(w http.ResponseWriter, r *http.Request) {
 	d := time.Since(t0)
 	rt.met.stageHandoffApply.Observe(d.Seconds())
 	act.Stage("handoff_apply", d)
-	act.SetPeer(source)
-	rt.log.Info("handoff applied", "source", source, "epoch", epoch, "stores", applied)
+	act.SetPeer(st.Source)
+	rt.log.Info("handoff applied", "source", st.Source, "epoch", st.Anchor, "stores", applied)
 	rt.ringHeaders(w)
 	httpx.Reply(w, http.StatusOK, map[string]any{
-		"epoch":  epoch,
+		"epoch":  st.Anchor,
 		"stores": applied,
 	})
 }
 
-// mergeRecords merges an inbound record stream into the local store —
-// handoff's sink for the record codec: each record's envelope into the
-// all-time sketch, then its window into the live window. It returns
-// the envelopes merged.
-func (rt *Router) mergeRecords(rs *recordStream) (int, error) {
-	applied := 0
-	err := rs.each(func(rec peerRecord) error {
-		if err := rt.local.Merge(rec.name, rec.env); err != nil {
-			return fmt.Errorf("handoff record %q: %w", rec.name, err)
+// mergeRecords merges an inbound handoff stream into the local store:
+// each record's envelope into the all-time sketch, then its ring into
+// the window (store.MergeRing). It returns the stores merged.
+func (rt *Router) mergeRecords(st store.Stream) (int, error) {
+	for i, rec := range st.Records {
+		if err := rt.local.Merge(rec.Name, rec.Env); err != nil {
+			return i, fmt.Errorf("handoff record %q: %w", rec.Name, err)
 		}
-		applied++
-		if len(rec.window) == 0 {
-			return nil
+		if len(rec.Ring.Buckets) == 0 {
+			continue
 		}
-		err := rt.local.MergeWindow(rec.name, rec.window)
-		if errors.Is(err, store.ErrNotWindowed) {
-			// Config skew: fold the peer's window into all-time rather
-			// than dropping its keys.
-			err = rt.local.Merge(rec.name, rec.window)
+		if err := rt.local.MergeRing(rec.Name, rec.Ring); err != nil {
+			return i, fmt.Errorf("handoff ring %q: %w", rec.Name, err)
 		}
-		if err != nil {
-			return fmt.Errorf("handoff window %q: %w", rec.name, err)
-		}
-		applied++
-		return nil
-	})
-	return applied, err
+	}
+	return len(st.Records), nil
 }

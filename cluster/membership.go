@@ -85,13 +85,28 @@ type ringView struct {
 	next     *ring // nil when stable
 	nextIdx  []int
 	nextRepl int
+	// from is the ring the transition starts from (the coordinator's
+	// committed ring), which handoff computes its targets over.
+	from     *ring
+	fromRepl int
 }
 
-// buildView assembles the snapshot for one committed/pending pair.
-func buildView(selfURL string, cur *RingDescriptor, curRing *ring, pending *RingDescriptor, pendingRing *ring) *ringView {
+// transition is a membership change in flight: the proposed descriptor
+// and the committed one the coordinator proposed it from, each with its
+// ring. A node that booted on its own ring (knwd -join) holds another
+// committed descriptor than the coordinator's; routing keeps its own,
+// handoff reads from.
+type transition struct {
+	next, from         *RingDescriptor
+	nextRing, fromRing *ring
+}
+
+// buildView assembles the snapshot for one committed ring and the
+// transition in flight (nil when stable).
+func buildView(selfURL string, cur *RingDescriptor, curRing *ring, pending *transition) *ringView {
 	members := cur.Members
 	if pending != nil {
-		members = append(append([]string(nil), cur.Members...), pending.Members...)
+		members = append(append([]string(nil), cur.Members...), pending.next.Members...)
 		sort.Strings(members)
 		n := 0
 		for i, m := range members {
@@ -116,10 +131,12 @@ func buildView(selfURL string, cur *RingDescriptor, curRing *ring, pending *Ring
 	}
 	v.curIdx = unionIndex(curRing.members, members)
 	if pending != nil {
-		v.pendingEpoch = pending.Epoch
-		v.next = pendingRing
-		v.nextRepl = pending.Replication
-		v.nextIdx = unionIndex(pendingRing.members, members)
+		v.pendingEpoch = pending.next.Epoch
+		v.next = pending.nextRing
+		v.nextRepl = pending.next.Replication
+		v.nextIdx = unionIndex(pending.nextRing.members, members)
+		v.from = pending.fromRing
+		v.fromRepl = pending.from.Replication
 	}
 	return v
 }
@@ -190,26 +207,40 @@ func (rt *Router) initMembership(r *ring) {
 		Replication: rt.cfg.Replication,
 	}
 	rt.curRing = r
-	rt.live.Store(buildView(rt.cfg.Self, rt.cur, rt.curRing, nil, nil))
+	rt.live.Store(buildView(rt.cfg.Self, rt.cur, rt.curRing, nil))
 }
 
 // rebuildViewLocked refreshes the atomic view from the descriptor
 // state. Callers hold memMu.
 func (rt *Router) rebuildViewLocked() {
-	rt.live.Store(buildView(rt.cfg.Self, rt.cur, rt.curRing, rt.pending, rt.pendingRing))
+	rt.live.Store(buildView(rt.cfg.Self, rt.cur, rt.curRing, rt.pending))
 }
 
-// AdoptDescriptor is the prepare phase on one node: validate the
-// proposed descriptor against the committed/pending state, install it
-// as pending, switch routing to the union view, and start handing off
+// AdoptDescriptor is the prepare phase on one node for a change this
+// node proposes from its own committed descriptor; see adopt.
+func (rt *Router) AdoptDescriptor(d *RingDescriptor) error {
+	return rt.adopt(d, rt.Descriptor())
+}
+
+// adopt is the prepare phase on one node: validate the proposed
+// descriptor against the committed/pending state, install it as
+// pending together with from, the committed descriptor it was proposed
+// from, switch routing to the union view, and start handing off
 // re-owned slices. Idempotent for descriptors already held; stale or
 // tie-break-losing proposals return errStaleEpoch/errEpochConflict
 // (HTTP 409).
-func (rt *Router) AdoptDescriptor(d *RingDescriptor) error {
+func (rt *Router) adopt(d *RingDescriptor, from RingDescriptor) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	if err := from.Validate(); err != nil {
+		return err
+	}
 	r, err := newRing(d.Members, d.Vnodes)
+	if err != nil {
+		return err
+	}
+	fromRing, err := newRing(from.Members, from.Vnodes)
 	if err != nil {
 		return err
 	}
@@ -224,22 +255,25 @@ func (rt *Router) AdoptDescriptor(d *RingDescriptor) error {
 		}
 		return fmt.Errorf("%w %d", errEpochConflict, d.Epoch)
 	}
-	if rt.pending != nil {
+	if p := rt.pending; p != nil {
 		switch {
-		case d.Epoch < rt.pending.Epoch:
-			return fmt.Errorf("%w: proposed %d, pending %d", errStaleEpoch, d.Epoch, rt.pending.Epoch)
-		case d.Epoch == rt.pending.Epoch:
-			if d.Equal(rt.pending) {
+		case d.Epoch < p.next.Epoch:
+			return fmt.Errorf("%w: proposed %d, pending %d", errStaleEpoch, d.Epoch, p.next.Epoch)
+		case d.Epoch == p.next.Epoch:
+			if d.Equal(p.next) {
 				return nil // already adopted
 			}
-			if rt.pending.less(d) {
+			if p.next.less(d) {
 				return fmt.Errorf("%w %d (tie-break)", errEpochConflict, d.Epoch)
 			}
 			// The incoming proposal wins the tie-break: fall through and
 			// replace ours.
 		}
 	}
-	rt.pending, rt.pendingRing = d, r
+	if from.Epoch >= d.Epoch {
+		return fmt.Errorf("cluster: proposed epoch %d does not follow committed epoch %d", d.Epoch, from.Epoch)
+	}
+	rt.pending = &transition{next: d, from: &from, nextRing: r, fromRing: fromRing}
 	rt.rebuildViewLocked()
 	rt.startHandoffLocked(rt.live.Load())
 	rt.log.Info("ring epoch adopted", "epoch", d.Epoch,
@@ -257,18 +291,18 @@ func (rt *Router) CommitEpoch(epoch uint64) error {
 		rt.memMu.Unlock()
 		return nil
 	}
-	if rt.pending == nil || rt.pending.Epoch != epoch {
+	if rt.pending == nil || rt.pending.next.Epoch != epoch {
 		have := uint64(0)
 		if rt.pending != nil {
-			have = rt.pending.Epoch
+			have = rt.pending.next.Epoch
 		}
 		rt.memMu.Unlock()
 		return fmt.Errorf("cluster: no pending descriptor for epoch %d (pending %d, committed %d)",
 			epoch, have, rt.cur.Epoch)
 	}
 	old := rt.cur
-	rt.cur, rt.curRing = rt.pending, rt.pendingRing
-	rt.pending, rt.pendingRing = nil, nil
+	rt.cur, rt.curRing = rt.pending.next, rt.pending.nextRing
+	rt.pending = nil
 	rt.rebuildViewLocked()
 	departed := make([]string, 0, 1)
 	for _, m := range old.Members {
@@ -361,10 +395,11 @@ func validateMemberURL(url string) error {
 func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 	rt.memMu.Lock()
 	epoch := rt.cur.Epoch + 1
-	if rt.pending != nil && rt.pending.Epoch >= epoch {
-		epoch = rt.pending.Epoch + 1
+	if rt.pending != nil && rt.pending.next.Epoch >= epoch {
+		epoch = rt.pending.next.Epoch + 1
 	}
-	oldMembers := append([]string(nil), rt.cur.Members...)
+	from := *rt.cur
+	oldMembers := from.Members
 	// Replication is ring policy, carried forward from the committed
 	// descriptor — NOT from this coordinator's boot config. A draining
 	// node proposes its own removal, and a joiner that booted alone has
@@ -379,7 +414,7 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 	if err := d.Validate(); err != nil {
 		return ChangeResult{}, err
 	}
-	if err := rt.AdoptDescriptor(d); err != nil {
+	if err := rt.adopt(d, from); err != nil {
 		return ChangeResult{}, err
 	}
 	out := ChangeResult{Epoch: epoch, Members: d.Members, Replication: repl, Changed: true}
@@ -388,7 +423,7 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 	// before we wait on handoff (they are about to own data). Members
 	// only in the old ring get it best-effort — the unreachable-node
 	// removal path must not block on the node being removed.
-	body := d.Encode(nil)
+	body := encodePrepare(d, &from)
 	union := rt.view().members
 	for _, peer := range union {
 		if peer == rt.cfg.Self {
@@ -589,7 +624,7 @@ func (rt *Router) handleChange(w http.ResponseWriter, r *http.Request, op func(s
 // HandleRing serves the membership control plane:
 //
 //	GET  /v1/cluster/ring                         → descriptor state (JSON)
-//	POST /v1/cluster/ring                         → prepare (KNWM body)
+//	POST /v1/cluster/ring                         → prepare (KNWM pair body)
 //	POST /v1/cluster/ring?phase=commit&epoch=N    → commit
 func (rt *Router) HandleRing(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
@@ -601,8 +636,8 @@ func (rt *Router) HandleRing(w http.ResponseWriter, r *http.Request) {
 			"replication": rt.cur.Replication,
 		}
 		if rt.pending != nil {
-			out["pending_epoch"] = rt.pending.Epoch
-			out["pending_members"] = rt.pending.Members
+			out["pending_epoch"] = rt.pending.next.Epoch
+			out["pending_members"] = rt.pending.next.Members
 		}
 		rt.memMu.Unlock()
 		rt.ringHeaders(w)
@@ -628,12 +663,12 @@ func (rt *Router) HandleRing(w http.ResponseWriter, r *http.Request) {
 		httpx.Fail(w, httpx.ReadStatus(err), err)
 		return
 	}
-	d, err := DecodeRingDescriptor(body)
+	d, from, err := decodePrepare(body)
 	if err != nil {
 		httpx.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := rt.AdoptDescriptor(d); err != nil {
+	if err := rt.adopt(d, *from); err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, errStaleEpoch) || errors.Is(err, errEpochConflict) {
 			status = http.StatusConflict

@@ -103,7 +103,10 @@ func mkDescriptor(epoch uint64, members ...string) *RingDescriptor {
 func pendingOf(rt *Router) *RingDescriptor {
 	rt.memMu.Lock()
 	defer rt.memMu.Unlock()
-	return rt.pending
+	if rt.pending == nil {
+		return nil
+	}
+	return rt.pending.next
 }
 
 // TestRingDescriptorRoundTrip: Encode/Decode is the identity on
@@ -404,21 +407,28 @@ func TestViewImmutableDuringChange(t *testing.T) {
 // ownership — never self, never nodes that already owned the data.
 func TestHandoffTargets(t *testing.T) {
 	a, b, c, d := "http://a:1", "http://b:1", "http://c:1", "http://d:1"
+	mkDesc := func(epoch uint64, members []string) (*RingDescriptor, *ring) {
+		r, err := newRing(members, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &RingDescriptor{Epoch: epoch, Members: r.members, Vnodes: 16, Replication: 1}, r
+	}
+	// bootView is the view of a node whose own committed ring is boot
+	// while the coordinator proposes next from its committed ring from.
+	bootView := func(self string, boot, from, next []string) *ringView {
+		bootD, bootRing := mkDesc(1, boot)
+		fromD, fromRing := mkDesc(1, from)
+		nextD, nextRing := mkDesc(2, next)
+		return buildView(self, bootD, bootRing,
+			&transition{next: nextD, from: fromD, nextRing: nextRing, fromRing: fromRing})
+	}
 	mkView := func(self string, cur, next []string) *ringView {
-		curRing, err := newRing(cur, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		curD := &RingDescriptor{Epoch: 1, Members: curRing.members, Vnodes: 16, Replication: 1}
 		if next == nil {
-			return buildView(self, curD, curRing, nil, nil)
+			curD, curRing := mkDesc(1, cur)
+			return buildView(self, curD, curRing, nil)
 		}
-		nextRing, err := newRing(next, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nextD := &RingDescriptor{Epoch: 2, Members: nextRing.members, Vnodes: 16, Replication: 1}
-		return buildView(self, curD, curRing, nextD, nextRing)
+		return bootView(self, cur, cur, next)
 	}
 
 	if got := handoffTargets(mkView(a, []string{a, b, c}, nil)); got != nil {
@@ -439,6 +449,12 @@ func TestHandoffTargets(t *testing.T) {
 	// the committed ring, so it pushes nowhere.
 	if got := handoffTargets(mkView(d, []string{a, b, c}, []string{a, b, c, d})); len(got) != 0 {
 		t.Fatalf("joining node has targets %v", got)
+	}
+	// A joiner that booted on its own one-member ring (knwd -join) owned
+	// nothing in the ring the coordinator proposed from, whatever its
+	// boot ring says, so it pushes nowhere.
+	if got := handoffTargets(bootView(d, []string{d}, []string{a, b, c}, []string{a, b, c, d})); len(got) != 0 {
+		t.Fatalf("joiner on its boot ring has targets %v", got)
 	}
 	// A leave: the departing node must ship to whoever inherits its
 	// intervals (at vnodes=16 over 2 survivors, someone always does).
@@ -648,19 +664,7 @@ func TestLeaveSoleReplicaHandsOff(t *testing.T) {
 }
 
 func testLeaveSoleReplica(t *testing.T, window store.Window) {
-	lns := make([]net.Listener, 2)
-	urls := make([]string, 2)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	stores := make([]*store.Store, 2)
-	routers := make([]*Router, 2)
-	for i := range routers {
+	urls, stores, routers := serveMembers(t, 2, func(int) *store.Store {
 		st, err := store.New(store.Config{
 			Kind:    knw.KindF0,
 			Options: []knw.Option{knw.WithEpsilon(memberEps), knw.WithSeed(1)},
@@ -669,19 +673,8 @@ func testLeaveSoleReplica(t *testing.T, window store.Window) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stores[i] = st
-		rt, err := New(Config{
-			Self: urls[i], Peers: urls, Replication: 1,
-			Backoff: 2 * time.Millisecond, Timeout: 2 * time.Second,
-			HandoffTimeout: 5 * time.Second, HandoffPoll: 2 * time.Millisecond,
-		}, stores[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		routers[i] = rt
-		serveMembership(t, rt, lns[i])
-	}
+		return st
+	}, func(int, *Config) {})
 
 	// Every key goes straight into A's local store: A is the sole
 	// holder of all 5000, B has nothing.
@@ -743,36 +736,23 @@ func testLeaveSoleReplica(t *testing.T, window store.Window) {
 // coordinates its own removal on drain — and used to hand the
 // survivors an R=1 ring. Replication is ring policy: it must carry
 // forward from the committed descriptor.
+//
+// It is also the regression test for the -join over-push: the joiner
+// used to compute its handoff targets from its one-member boot ring,
+// see itself as the owner of every interval, and push its whole store
+// set to every member. It owned nothing in the coordinator's committed
+// ring, which the prepare body now carries, so it pushes nowhere.
 func TestDrainKeepsRingReplication(t *testing.T) {
-	lns := make([]net.Listener, 3)
-	urls := make([]string, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	stores := make([]*store.Store, 3)
-	routers := make([]*Router, 3)
-	for i := range routers {
-		stores[i] = newMemberStore(t)
-		cfg := Config{
-			Self: urls[i], Peers: urls[:2], Replication: 2,
-			Backoff: 2 * time.Millisecond, Timeout: 2 * time.Second,
-			HandoffTimeout: 5 * time.Second, HandoffPoll: 2 * time.Millisecond,
-		}
-		if i == 2 { // the joiner boots alone, exactly like knwd -join
-			cfg.Peers, cfg.Replication = urls[2:], 1
-		}
-		rt, err := New(cfg, stores[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		routers[i] = rt
-		serveMembership(t, rt, lns[i])
+	urls, stores, routers := serveMembers(t, 3, func(int) *store.Store { return newMemberStore(t) },
+		func(i int, c *Config) {
+			if i == 2 { // the joiner boots alone, exactly like knwd -join
+				c.Peers = c.Peers[2:]
+				return
+			}
+			c.Peers, c.Replication = c.Peers[:2], 2
+		})
+	if err := stores[2].Ingest("joiner/own", []string{"a", "b", "c"}); err != nil {
+		t.Fatal(err)
 	}
 
 	res, err := routers[0].Join(urls[2])
@@ -781,6 +761,9 @@ func TestDrainKeepsRingReplication(t *testing.T) {
 	}
 	if res.Epoch != 2 || res.Replication != 2 {
 		t.Fatalf("join result: %+v, want epoch 2 replication 2", res)
+	}
+	if st := routers[2].HandoffStatus(2); len(st.Targets) != 0 {
+		t.Fatalf("joiner handoff targets %v, want none", st.Targets)
 	}
 
 	// The joiner drains itself back out. Its config says replication 1,
@@ -804,4 +787,113 @@ func abs64(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// serveMembers starts n routers on loopback listeners, each over the
+// store newStore builds for it; cfg adjusts member i's router config.
+func serveMembers(t *testing.T, n int, newStore func(i int) *store.Store, cfg func(i int, c *Config)) ([]string, []*store.Store, []*Router) {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	urls := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		urls[i] = "http://" + ln.Addr().String()
+	}
+	stores := make([]*store.Store, n)
+	routers := make([]*Router, n)
+	for i := range routers {
+		stores[i] = newStore(i)
+		c := Config{
+			Self: urls[i], Peers: urls, Replication: 1,
+			Backoff: 2 * time.Millisecond, Timeout: 2 * time.Second,
+			HandoffTimeout: 5 * time.Second, HandoffPoll: 2 * time.Millisecond,
+		}
+		cfg(i, &c)
+		rt, err := New(c, stores[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		routers[i] = rt
+		serveMembership(t, rt, lns[i])
+	}
+	return urls, stores, routers
+}
+
+// TestHandoffKeepsBucketEpochs is the regression test for handoff
+// moving windowed keys to the handoff's epoch: a handoff used to ship
+// the ring's union and merge it into the receiver's current bucket, so
+// keys from the sender's oldest bucket outlived their window on the
+// receiver, and a cluster series counted them twice. The ring now
+// merges bucket by bucket by epoch.
+func TestHandoffKeepsBucketEpochs(t *testing.T) {
+	var mu sync.Mutex
+	base := time.Unix(0, 0).Add(1_000_000 * time.Minute)
+	now := base
+	setClock := func(intervals int) {
+		mu.Lock()
+		now = base.Add(time.Duration(intervals) * time.Minute)
+		mu.Unlock()
+	}
+	_, stores, routers := serveMembers(t, 2, func(int) *store.Store {
+		st, err := store.New(store.Config{
+			Kind:    knw.KindF0,
+			Options: []knw.Option{knw.WithEpsilon(memberEps), knw.WithSeed(1)},
+			Window:  store.Window{Buckets: 4, Interval: time.Minute},
+			Now: func() time.Time {
+				mu.Lock()
+				defer mu.Unlock()
+				return now
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}, func(int, *Config) {})
+
+	// 5000 keys land in the sender's bucket of the base epoch, which is
+	// the oldest live bucket three intervals later, at the handoff.
+	const truth = 5000
+	keys := make([]string, truth)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("old-%d", i)
+	}
+	if err := stores[0].Ingest("acme/users", keys); err != nil {
+		t.Fatal(err)
+	}
+	stores[0].Flush()
+	setClock(3)
+	if _, err := routers[0].Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	series, err := stores[1].Series("acme/users", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldest, newest := series.Buckets[0], series.Buckets[len(series.Buckets)-1]
+	if oldest.Epoch != base.UnixNano()/int64(time.Minute) || abs64(oldest.Estimate-truth)/truth > memberEps {
+		t.Errorf("receiver's oldest bucket: epoch %d estimate %.0f, want the base epoch with ~%d keys",
+			oldest.Epoch, oldest.Estimate, truth)
+	}
+	if newest.Estimate != 0 {
+		t.Errorf("receiver's newest bucket holds %.0f handed-off keys, want 0", newest.Estimate)
+	}
+
+	// One interval on, the keys have left both windows.
+	setClock(4)
+	for i, st := range stores {
+		est, err := st.Estimate("acme/users")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Window != 0 {
+			t.Errorf("node %d window after the keys' span = %.0f, want 0", i, est.Window)
+		}
+	}
 }

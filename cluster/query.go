@@ -136,10 +136,7 @@ func (rt *Router) scatterScope(v *ringView, name, scope, hdr string) []gatherRes
 				res.err = err
 			case !found:
 			case scope == "buckets":
-				var rs store.RingSnapshot
-				if rs, res.err = store.DecodeRingSnapshot(env); res.err == nil {
-					res.ring = &rs
-				}
+				res.ring, res.err = rt.openRing(name, env)
 			default:
 				res.est, res.err = knw.Open(env)
 			}
@@ -169,6 +166,23 @@ func (rt *Router) localScope(name, scope string) gatherRes {
 		res.err = err
 	}
 	return res
+}
+
+// openRing decodes a peer's ring export of name (a StreamRing record
+// stream) into caller-owned sketches.
+func (rt *Router) openRing(name string, data []byte) (*store.RingSnapshot, error) {
+	st, err := store.DecodeStream(data, store.StreamRing)
+	if err != nil {
+		return nil, err
+	}
+	if len(st.Records) != 1 || st.Records[0].Name != name {
+		return nil, fmt.Errorf("ring export holds %d records, want one for %q", len(st.Records), name)
+	}
+	rs, err := rt.local.OpenRing(st.Records[0].Ring)
+	if err != nil {
+		return nil, err
+	}
+	return &rs, nil
 }
 
 // GatherSeries assembles the cluster-wide cardinality time-series for

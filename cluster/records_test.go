@@ -26,10 +26,12 @@ func recordTestConfig() store.Config {
 }
 
 // recordSeeds is what a peer ships: a full envelope at version base,
-// a KNWD delta from base to next, and the live window's union.
+// a KNWD delta from base to next, and a handoff push of the store (its
+// all-time envelope and its ring).
 type recordSeeds struct {
-	base, next        uint64
-	full, delta, wenv []byte
+	base, next  uint64
+	full, delta []byte
+	handoff     []byte
 }
 
 func makeRecordSeeds(tb testing.TB) recordSeeds {
@@ -63,114 +65,133 @@ func makeRecordSeeds(tb testing.TB) recordSeeds {
 		tb.Fatal("seed store served a full envelope for a delta pull")
 	}
 	s.next, s.delta = d.Version, bytes.Clone(d.Env)
-	if s.wenv, err = st.WindowSnapshot("t/m", nil); err != nil {
+	sw := store.StreamWriter{Header: store.StreamHeader{Kind: store.StreamHandoff, Source: "http://peer.invalid", Anchor: 2}}
+	if _, err := st.AppendRecord(&sw, "t/m"); err != nil {
 		tb.Fatal(err)
 	}
+	s.handoff = append(sw.Head(), sw.Body()...)
 	return s
 }
 
-func stream(instance uint64, recs ...peerRecord) []byte {
-	var rw recordWriter
+// pullStream is a gossip pull reply holding recs.
+func pullStream(instance uint64, recs ...store.Record) []byte {
+	sw := store.StreamWriter{Header: store.StreamHeader{Kind: store.StreamPull, Anchor: instance}}
 	for _, rec := range recs {
-		rw.add(rec)
+		sw.Add(rec.Name, rec.Version, rec.Env)
 	}
-	return append(rw.head(instance), rw.body.Buf...)
+	return append(sw.Head(), sw.Body()...)
 }
 
-// TestRecordStreamRoundTrip: what recordWriter writes, readRecords
-// reads back record for record.
+// TestRecordStreamRoundTrip: what a pull reply and a handoff push
+// write, readStream reads back record for record, rings included.
 func TestRecordStreamRoundTrip(t *testing.T) {
 	s := makeRecordSeeds(t)
-	want := []peerRecord{
-		{name: "t/m", version: s.base, env: s.full},
-		{name: "t/m", version: s.next, env: s.delta},
-		{name: "w/m", env: s.full, window: s.wenv},
+	want := []store.Record{
+		{Name: "t/m", Version: s.next, Env: s.delta},
+		{Name: "w/m", Version: s.base, Env: s.full},
 	}
-	rs, err := readRecords(bytes.NewReader(stream(7, want...)))
+	st, err := readStream(bytes.NewReader(pullStream(7, want...)), store.StreamPull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.instance != 7 || rs.count != uint64(len(want)) {
-		t.Fatalf("header: instance %d count %d", rs.instance, rs.count)
+	if st.Anchor != 7 || len(st.Records) != len(want) {
+		t.Fatalf("header: anchor %d, %d records", st.Anchor, len(st.Records))
 	}
-	var got []peerRecord
-	if err := rs.each(func(rec peerRecord) error { got = append(got, rec); return nil }); err != nil {
+	for i, w := range want {
+		g := st.Records[i]
+		if g.Name != w.Name || g.Version != w.Version || !bytes.Equal(g.Env, w.Env) || len(g.Ring.Buckets) != 0 {
+			t.Fatalf("record %d: got %q v%d env %d B ring %d", i, g.Name, g.Version, len(g.Env), len(g.Ring.Buckets))
+		}
+	}
+
+	ho, err := readStream(bytes.NewReader(s.handoff), store.StreamHandoff)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.name != w.name || g.version != w.version || !bytes.Equal(g.env, w.env) || !bytes.Equal(g.window, w.window) {
-			t.Fatalf("record %d: got %q v%d env %d B window %d B", i, g.name, g.version, len(g.env), len(g.window))
-		}
+	if ho.Source != "http://peer.invalid" || ho.Anchor != 2 || len(ho.Records) != 1 {
+		t.Fatalf("handoff header: source %q anchor %d, %d records", ho.Source, ho.Anchor, len(ho.Records))
+	}
+	if ring := ho.Records[0].Ring; ring.Interval != time.Hour || len(ring.Buckets) != 2 {
+		t.Fatalf("handoff ring: %v, %d buckets", ring.Interval, len(ring.Buckets))
 	}
 }
 
-// TestReadRecordsRejects: streams from an older member (the version 1
-// gossip layout, the retired handoff stream) and damaged streams come
-// back as errors, never panics or partial success.
+// TestReadRecordsRejects: streams from an older member (the version 2
+// gossip layout, the retired handoff and ring-export streams) and
+// damaged streams come back as errors, never panics or partial success.
 func TestReadRecordsRejects(t *testing.T) {
 	s := makeRecordSeeds(t)
-	good := stream(7, peerRecord{name: "t/m", version: s.base, env: s.full})
+	good := pullStream(7, store.Record{Name: "t/m", Version: s.base, Env: s.full})
 
-	var v1 binenc.Writer // version 1: (name, version, envelope) records
-	v1.Uvarint(recordMagic)
-	v1.Uvarint(1)
-	v1.Uvarint(7)
-	v1.Uvarint(1)
-	v1.Bytes([]byte("t/m"))
-	v1.Uvarint(s.base)
-	v1.Bytes(s.full)
+	var v2 binenc.Writer // version 2: (name, version, envelope, window) records
+	v2.Uvarint(0x4b4e5747)
+	v2.Uvarint(2)
+	v2.Uvarint(7)
+	v2.Uvarint(1)
+	v2.Bytes([]byte("t/m"))
+	v2.Uvarint(s.base)
+	v2.Bytes(s.full)
+	v2.Bytes(nil)
 
 	var oldHandoff binenc.Writer // magic "KNWH", version 1
 	oldHandoff.Uvarint(0x4b4e5748)
 	oldHandoff.Uvarint(1)
 
+	var oldRing binenc.Writer // magic "KNWB", version 1
+	oldRing.Uvarint(0x4b4e5742)
+	oldRing.Uvarint(1)
+
 	var tooMany binenc.Writer
-	tooMany.Uvarint(recordMagic)
-	tooMany.Uvarint(recordVersion)
-	tooMany.Uvarint(0)
-	tooMany.Uvarint(maxPeerRecords + 1)
+	tooMany.Buf = (&store.StreamWriter{Header: store.StreamHeader{Kind: store.StreamPull}}).Head()
+	tooMany.Buf = tooMany.Buf[:len(tooMany.Buf)-1] // drop the zero record count
+	tooMany.Uvarint(store.MaxStreamRecords + 1)
 
 	cases := []struct {
 		name, want string
+		kind       store.StreamKind
 		data       []byte
 	}{
-		{"version 1", "unsupported record stream version 1", v1.Buf},
-		{"old handoff", "bad record stream magic", oldHandoff.Buf},
-		{"empty", "bad record stream header", nil},
-		{"too many records", "claims", tooMany.Buf},
-		{"truncated", "bad record", good[:len(good)-3]},
-		{"trailing bytes", "trailing bytes", append(bytes.Clone(good), 0)},
-		{"bad name", "control characters", stream(7, peerRecord{name: "t\x01m", env: s.full})},
+		{"version 2", "unsupported record stream version 2", store.StreamPull, v2.Buf},
+		{"old handoff", "bad record stream magic", store.StreamHandoff, oldHandoff.Buf},
+		{"old ring export", "bad record stream magic", store.StreamRing, oldRing.Buf},
+		{"empty", "bad record stream header", store.StreamPull, nil},
+		{"too many records", "claims", store.StreamPull, tooMany.Buf},
+		{"truncated", "bad record", store.StreamPull, good[:len(good)-3]},
+		{"trailing bytes", "trailing bytes", store.StreamPull, append(bytes.Clone(good), 0)},
+		{"bad name", "control characters", store.StreamPull,
+			pullStream(7, store.Record{Name: "t\x01m", Env: s.full})},
+		{"duplicate name", "out of order", store.StreamPull,
+			pullStream(7, store.Record{Name: "t/m", Env: s.full}, store.Record{Name: "t/m", Env: s.full})},
+		{"unsorted names", "out of order", store.StreamPull,
+			pullStream(7, store.Record{Name: "u/m", Env: s.full}, store.Record{Name: "t/m", Env: s.full})},
+		{"wrong kind", "kind", store.StreamPull, s.handoff},
 	}
 	for _, c := range cases {
-		rs, err := readRecords(bytes.NewReader(c.data))
-		if err == nil {
-			err = rs.each(func(peerRecord) error { return nil })
-		}
+		_, err := readStream(bytes.NewReader(c.data), c.kind)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
 		}
 	}
 }
 
-// FuzzPeerRecords drives arbitrary bytes through the record decoder
-// and both of its sinks: gossip's (replica apply, full and delta) and
-// handoff's (store merge, all-time and window). Gossip decodes peer
-// bytes on a goroutine with no recover, so every input must come back
-// as an error or success, never a panic. The replica for "t/m" sits at
-// the seed delta's base, so delta records reach the splice.
+// FuzzPeerRecords drives arbitrary bytes through the shared stream
+// reader and both of its cluster sinks: gossip's (replica apply, full
+// and delta) and handoff's (store merge, all-time and ring). Gossip
+// decodes peer bytes on a goroutine with no recover, so every input
+// must come back as an error or success, never a panic. The replica
+// for "t/m" sits at the seed delta's base, so delta records reach the
+// splice.
 //
 // Run with: go test -fuzz=FuzzPeerRecords ./cluster
 func FuzzPeerRecords(f *testing.F) {
 	s := makeRecordSeeds(f)
-	f.Add(stream(7, peerRecord{name: "t/m", version: s.base, env: s.full}))
-	f.Add(stream(7, peerRecord{name: "t/m", version: s.next, env: s.delta}))
-	f.Add(stream(0, peerRecord{name: "t/m", env: s.full, window: s.wenv}))
-	f.Add(stream(7,
-		peerRecord{name: "t/m", version: s.next, env: s.delta},
-		peerRecord{name: "u/m", version: 3, env: s.full}))
-	f.Add(stream(0))
+	f.Add(pullStream(7, store.Record{Name: "t/m", Version: s.base, Env: s.full}))
+	f.Add(pullStream(7, store.Record{Name: "t/m", Version: s.next, Env: s.delta}))
+	f.Add(s.handoff)
+	f.Add(pullStream(7,
+		store.Record{Name: "t/m", Version: s.next, Env: s.delta},
+		store.Record{Name: "u/m", Version: 3, Env: s.full}))
+	f.Add(pullStream(0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := store.New(recordTestConfig())
@@ -187,11 +208,11 @@ func FuzzPeerRecords(f *testing.F) {
 		if err := rt.gossip.replicas.ApplyFull(peer, "t/m", s.base, s.full); err != nil {
 			t.Fatal(err)
 		}
-		if rs, err := readRecords(bytes.NewReader(data)); err == nil {
-			rt.gossip.apply(peer, rs)
+		if pull, err := store.DecodeStream(data, store.StreamPull); err == nil {
+			rt.gossip.apply(peer, pull)
 		}
-		if rs, err := readRecords(bytes.NewReader(data)); err == nil {
-			rt.mergeRecords(rs)
+		if ho, err := store.DecodeStream(data, store.StreamHandoff); err == nil {
+			rt.mergeRecords(ho)
 		}
 	})
 }

@@ -274,16 +274,17 @@ func TestSeriesEndpoint(t *testing.T) {
 		t.Errorf("all-time query = %+v, want card 84, inter 24", qr)
 	}
 
-	// scope=buckets snapshots serve the decodable KNWB ring export.
+	// scope=buckets snapshots serve the ring export: a record stream of
+	// one ring-only record.
 	resp, blob := get(t, hs.URL+"/v1/snapshot?store=t/n&scope=buckets")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("buckets snapshot: HTTP %d", resp.StatusCode)
 	}
-	rs, err := store.DecodeRingSnapshot(blob)
+	st, err := store.DecodeStream(blob, store.StreamRing)
 	if err != nil {
-		t.Fatalf("decoding ring snapshot: %v", err)
+		t.Fatalf("decoding ring export: %v", err)
 	}
-	if rs.Interval != time.Minute || len(rs.Buckets) != 4 {
-		t.Errorf("ring snapshot = %v/%d buckets, want 1m/4", rs.Interval, len(rs.Buckets))
+	if ring := st.Records[0].Ring; st.Records[0].Name != "t/n" || ring.Interval != time.Minute || len(ring.Buckets) != 4 {
+		t.Errorf("ring export = %q %v/%d buckets, want t/n 1m/4", st.Records[0].Name, ring.Interval, len(ring.Buckets))
 	}
 }

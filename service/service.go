@@ -47,14 +47,14 @@
 //	POST /v1/cluster/leave     membership: remove a member (alive —
 //	                   drained first — or dead) and cut over
 //	GET/POST /v1/cluster/ring  membership control plane: descriptor
-//	                   state; prepare (KNWM body); ?phase=commit
-//	POST /v1/cluster/handoff   rebalance data plane: a peer record
-//	                   stream (KNWG, as gossip pulls carry) of a
-//	                   re-owned peer's all-time and window envelopes,
-//	                   merged on arrival
+//	                   state; prepare (the proposed and the committed
+//	                   KNWM descriptor); ?phase=commit
+//	POST /v1/cluster/handoff   rebalance data plane: a record stream
+//	                   (KNWG) of a re-owned peer's all-time envelopes
+//	                   and rings, merged on arrival
 //	GET  /v1/cluster/handoff/status  per-epoch handoff progress
 //	GET  /v1/gossip/digest     gossip: this node's version vector
-//	POST /v1/gossip/pull       gossip: a peer record stream of delta/full
+//	POST /v1/gossip/pull       gossip: a record stream of delta/full
 //	                   envelopes since the caller's base versions
 //	GET  /metrics      → Prometheus text exposition (service + store
 //	                   instruments; see internal/metrics)
@@ -506,12 +506,15 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 		// to serve windowed estimates without shipping bucket state.
 		env, err = s.st.WindowSnapshot(r.URL.Query().Get("store"), (*p)[:0])
 	case "buckets":
-		// The per-bucket ring export (KNWB): what a cluster series
-		// gather scatters for. Preserves bucket boundaries so same-epoch
-		// buckets union across nodes, at N envelopes of cost.
+		// The ring export (a StreamRing record stream): what a cluster
+		// series gather scatters for. Preserves bucket boundaries so
+		// same-epoch buckets union across nodes, at N envelopes of cost.
+		// The buckets are copied under the entry lock and encoded
+		// outside it.
+		name := r.URL.Query().Get("store")
 		var rs store.RingSnapshot
-		if rs, err = s.st.RingSnapshot(r.URL.Query().Get("store")); err == nil {
-			env = rs.Encode((*p)[:0])
+		if rs, err = s.st.RingSnapshot(name); err == nil {
+			env = store.AppendRingStream((*p)[:0], name, rs)
 		}
 	default:
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown snapshot scope %q", scope))

@@ -5,12 +5,11 @@ import (
 	"time"
 
 	knw "repro"
-	"repro/internal/binenc"
 )
 
 // Query-side exports of the window ring: per-bucket cardinality
-// time-series (Series) and the raw per-bucket envelopes a peer needs
-// to answer a cluster-wide series (RingSnapshot). Both rotate the ring
+// time-series (Series) and the per-bucket sketches a peer needs to
+// answer a cluster-wide series (RingSnapshot). Both rotate the ring
 // to the store clock first, so answers never include expired buckets.
 
 // SeriesPoint is one window bucket of a cardinality time-series.
@@ -126,7 +125,8 @@ type BucketSnapshot struct {
 // RingSnapshot is the per-bucket export of a windowed entry — what a
 // peer needs to answer a cluster-wide series: epochs are wall-aligned
 // across same-configured nodes, so buckets union epoch by epoch.
-// Buckets run oldest → newest, and their sketches are caller-owned.
+// Buckets run oldest → newest at consecutive epochs; the sketches of a
+// snapshot from Store.RingSnapshot or Store.OpenRing are caller-owned.
 type RingSnapshot struct {
 	Interval time.Duration
 	Buckets  []BucketSnapshot
@@ -137,8 +137,7 @@ type RingSnapshot struct {
 // sketches, taken under the entry lock. Unlike WindowSnapshot (one
 // merged envelope) it preserves bucket boundaries, at N sketches of
 // cost; it exists for the cluster series gather, which reads the local
-// ring in memory and ships Encode's bytes to peers, and it is not a
-// checkpoint format.
+// ring in memory and ships AppendRingStream's bytes to peers.
 func (s *Store) RingSnapshot(name string) (RingSnapshot, error) {
 	e, err := s.lookup(name, false)
 	if err != nil {
@@ -150,79 +149,16 @@ func (s *Store) RingSnapshot(name string) (RingSnapshot, error) {
 		return RingSnapshot{}, fmt.Errorf("%w (%q)", ErrNotWindowed, name)
 	}
 	s.drainLocked(e)
-	w := e.window
-	s.met.rotations.Add(uint64(w.rotate(s.now())))
-	out := RingSnapshot{Interval: w.interval, Buckets: make([]BucketSnapshot, 0, len(w.buckets))}
-	for j := len(w.buckets) - 1; j >= 0; j-- {
-		c, err := knw.Clone(w.bucketAt(j))
+	s.met.rotations.Add(uint64(e.window.rotate(s.now())))
+	out := e.window.view()
+	for i, b := range out.Buckets {
+		c, err := knw.Clone(b.Sketch)
 		if err != nil {
 			return RingSnapshot{}, err
 		}
-		out.Buckets = append(out.Buckets, BucketSnapshot{Epoch: w.epoch - int64(j), Sketch: c})
+		out.Buckets[i].Sketch = c
 	}
 	return out, nil
-}
-
-// Ring-snapshot wire format ("KNWB"), the scope=buckets snapshot body:
-//
-//	uvarint ringMagic ("KNWB")
-//	uvarint version (1)
-//	varint  interval nanos
-//	uvarint bucket count
-//	per bucket: varint epoch, bytes envelope
-const (
-	ringMagic   = 0x4b4e5742 // "KNWB"
-	ringVersion = 1
-)
-
-// Encode appends the wire form to buf (which may be nil), marshaling
-// each bucket's envelope straight into its frame. Bucket sketches are
-// of a wire kind, as every store's are; any other kind panics.
-func (rs RingSnapshot) Encode(buf []byte) []byte {
-	w := binenc.Writer{Buf: buf}
-	w.Uvarint(ringMagic)
-	w.Uvarint(ringVersion)
-	w.Varint(int64(rs.Interval))
-	w.Uvarint(uint64(len(rs.Buckets)))
-	for _, b := range rs.Buckets {
-		w.Varint(b.Epoch)
-		w.Frame(func(buf []byte) []byte { return appendSketch(buf, b.Sketch) })
-	}
-	return w.Buf
-}
-
-// DecodeRingSnapshot parses a KNWB blob and opens every bucket's
-// envelope, so a peer's ring and a local one share one type. Nothing
-// aliases data, so the caller may recycle the buffer.
-func DecodeRingSnapshot(data []byte) (RingSnapshot, error) {
-	r := binenc.Reader{Buf: data}
-	r.Expect(ringMagic, "ring snapshot magic")
-	r.Expect(ringVersion, "ring snapshot version")
-	rs := RingSnapshot{Interval: time.Duration(r.Varint())}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return RingSnapshot{}, err
-	}
-	if rs.Interval <= 0 {
-		return RingSnapshot{}, fmt.Errorf("store: ring snapshot has non-positive interval %d", rs.Interval)
-	}
-	if n > 1024 { // the Window.validate bucket ceiling
-		return RingSnapshot{}, fmt.Errorf("store: ring snapshot claims %d buckets", n)
-	}
-	rs.Buckets = make([]BucketSnapshot, 0, n)
-	for i := uint64(0); i < n; i++ {
-		epoch := r.Varint()
-		env := r.BytesView()
-		if err := r.Err(); err != nil {
-			return RingSnapshot{}, err
-		}
-		est, err := knw.Open(env)
-		if err != nil {
-			return RingSnapshot{}, fmt.Errorf("store: ring snapshot bucket %d: %w", i, err)
-		}
-		rs.Buckets = append(rs.Buckets, BucketSnapshot{Epoch: epoch, Sketch: est})
-	}
-	return rs, nil
 }
 
 // SetQuery copies each named store's sketch (all-time, or the union of

@@ -169,16 +169,24 @@ func TestSeriesErrors(t *testing.T) {
 	_ = s
 }
 
-// RingSnapshot round-trips through the KNWB wire form, and the decoded
-// buckets union to exactly the windowed estimate.
+// RingSnapshot round-trips through the ring export (a StreamRing
+// record stream), and the decoded buckets union to exactly the
+// windowed estimate.
 func TestRingSnapshotRoundTrip(t *testing.T) {
 	s, _ := seriesFixture(t)
 	rs, err := s.RingSnapshot("t/m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := rs.Encode(nil)
-	dec, err := DecodeRingSnapshot(blob)
+	blob := AppendRingStream(nil, "t/m", rs)
+	st, err := DecodeStream(blob, StreamRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Records) != 1 || st.Records[0].Name != "t/m" || len(st.Records[0].Env) != 0 {
+		t.Fatalf("ring export records: %+v", st.Records)
+	}
+	dec, err := s.OpenRing(st.Records[0].Ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +217,14 @@ func TestRingSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("union of decoded buckets = %.1f, want exactly 84", got)
 	}
 
-	// Truncated and corrupt blobs fail loudly, not silently.
-	if _, err := DecodeRingSnapshot(blob[:len(blob)/2]); err == nil {
+	// Truncated, padded and corrupt blobs fail loudly, not silently.
+	if _, err := DecodeStream(blob[:len(blob)/2], StreamRing); err == nil {
 		t.Error("truncated blob decoded")
 	}
-	if _, err := DecodeRingSnapshot([]byte{0x01, 0x02}); err == nil {
+	if _, err := DecodeStream(append(blob, 0), StreamRing); err == nil {
+		t.Error("blob with a trailing byte decoded")
+	}
+	if _, err := DecodeStream([]byte{0x01, 0x02}, StreamRing); err == nil {
 		t.Error("garbage blob decoded")
 	}
 }

@@ -342,26 +342,17 @@ func (rs *ReplicaSet) Stats() (peers, replicas int) {
 	return len(rs.peers), replicas
 }
 
-// Replica checkpoint file ("KNWR"): the serialized replica view,
-// written beside the store checkpoint so a restarted node serves a
-// warm merged view immediately. Peer instance ids are persisted —
-// they identify the peer's process, not ours — so held versions stay
-// valid across our own restarts for peers that kept running.
-//
-//	uvarint replicaMagic ("KNWR")
-//	uvarint version (1)
-//	uvarint peer count
-//	per peer (sorted by url):
-//	  bytes   peer url
-//	  uvarint instance
-//	  uvarint store count
-//	  per store (sorted by name):
-//	    bytes   name
-//	    uvarint version
-//	    bytes   envelope (the held sketch, re-encoded)
+// The replica file is the serialized replica view, written beside the
+// store checkpoint so a restarted node serves a warm merged view
+// immediately: one StreamReplica record stream (records.go) per peer,
+// back to back in increasing URL order, each holding what a base-0 pull
+// from that peer would carry — every held replica's full envelope at
+// its version. A stream's source is the peer URL and its anchor the
+// peer's instance id: peer instance ids are persisted because they
+// identify the peer's process, not ours, so held versions stay valid
+// across our own restarts for peers that kept running. Replica files in
+// the format before the record stream load through legacy.go.
 const (
-	replicaMagic   = 0x4b4e5752 // "KNWR"
-	replicaVersion = 1
 	// ReplicaFile is the file name ReplicaSet.Checkpoint writes inside
 	// its directory argument.
 	ReplicaFile = "replicas.knwr"
@@ -396,22 +387,16 @@ func (rs *ReplicaSet) Checkpoint(dir string) error {
 	rs.mu.Unlock()
 
 	sort.Slice(peers, func(i, j int) bool { return peers[i].url < peers[j].url })
-	w := binenc.Writer{}
-	w.Uvarint(replicaMagic)
-	w.Uvarint(replicaVersion)
-	w.Uvarint(uint64(len(peers)))
+	chunks := make([][]byte, 0, 2*len(peers))
 	for _, hp := range peers {
-		w.Bytes([]byte(hp.url))
-		w.Uvarint(hp.instance)
-		w.Uvarint(uint64(len(hp.stores)))
 		sort.Slice(hp.stores, func(i, j int) bool { return hp.stores[i].name < hp.stores[j].name })
+		sw := StreamWriter{Header: StreamHeader{Kind: StreamReplica, Source: hp.url, Anchor: hp.instance}}
 		for _, h := range hp.stores {
-			w.Bytes([]byte(h.name))
-			w.Uvarint(h.r.version)
-			w.Frame(func(buf []byte) []byte { return appendSketch(buf, h.r.est) })
+			sw.add(h.name, h.r.version, nil, h.r.est, RingSnapshot{})
 		}
+		chunks = append(chunks, sw.Head(), sw.Body())
 	}
-	return writeFileAtomic(filepath.Join(dir, ReplicaFile), w.Buf)
+	return writeFileAtomic(filepath.Join(dir, ReplicaFile), chunks...)
 }
 
 // LoadCheckpoint restores the replica view written by Checkpoint,
@@ -427,55 +412,23 @@ func (rs *ReplicaSet) LoadCheckpoint(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := binenc.Reader{Buf: data}
-	r.Expect(replicaMagic, "replica checkpoint magic")
-	if v := r.Uvarint(); r.Err() == nil && v != replicaVersion {
-		return 0, fmt.Errorf("%w: unsupported replica version %d", ErrCorruptCheckpoint, v)
+	streams, err := decodeReplicaFile(data)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
-	peerCount := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("%w: bad replica header: %v", ErrCorruptCheckpoint, err)
-	}
-	if peerCount > 1<<16 {
-		return 0, fmt.Errorf("%w: replica header claims %d peers", ErrCorruptCheckpoint, peerCount)
-	}
-	staged := make(map[string]*peerReplicas, peerCount)
+	staged := make(map[string]*peerReplicas, len(streams))
 	total := 0
-	for p := uint64(0); p < peerCount; p++ {
-		peer := string(r.BytesView())
-		instance := r.Uvarint()
-		storeCount := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return 0, fmt.Errorf("%w: bad replica peer frame: %v", ErrCorruptCheckpoint, err)
-		}
-		if peer == "" || storeCount > 1<<20 || staged[peer] != nil {
-			return 0, fmt.Errorf("%w: bad replica peer %q", ErrCorruptCheckpoint, peer)
-		}
-		pr := &peerReplicas{instance: instance, stores: make(map[string]*replica, storeCount)}
-		for i := uint64(0); i < storeCount; i++ {
-			name := string(r.BytesView())
-			version := r.Uvarint()
-			env := r.BytesView()
-			if err := r.Err(); err != nil {
-				return 0, fmt.Errorf("%w: bad replica frame: %v", ErrCorruptCheckpoint, err)
-			}
-			if err := ValidateName(name); err != nil {
-				return 0, fmt.Errorf("%w: replica name: %v", ErrCorruptCheckpoint, err)
-			}
-			if pr.stores[name] != nil {
-				return 0, fmt.Errorf("%w: duplicate replica %q from %s", ErrCorruptCheckpoint, name, peer)
-			}
-			est, err := rs.st.openCompatible(env)
+	for _, st := range streams {
+		pr := &peerReplicas{instance: st.Anchor, stores: make(map[string]*replica, len(st.Records))}
+		for _, rec := range st.Records {
+			est, err := rs.st.openCompatible(rec.Env)
 			if err != nil {
-				return 0, wrapEntryErr(name, err)
+				return 0, wrapEntryErr(rec.Name, err)
 			}
-			pr.stores[name] = &replica{version: version, est: est}
+			pr.stores[rec.Name] = &replica{version: rec.Version, est: est}
 			total++
 		}
-		staged[peer] = pr
-	}
-	if len(r.Buf) != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes in replica file", ErrCorruptCheckpoint, len(r.Buf))
+		staged[st.Source] = pr
 	}
 	rs.mu.Lock()
 	rs.peers = staged
@@ -486,4 +439,31 @@ func (rs *ReplicaSet) LoadCheckpoint(dir string) (int, error) {
 	}
 	rs.mu.Unlock()
 	return total, nil
+}
+
+// decodeReplicaFile decodes the replica file's streams, record stream
+// or legacy, and checks that each names a peer, in increasing order.
+func decodeReplicaFile(data []byte) ([]Stream, error) {
+	var streams []Stream
+	if legacyMagic(data) {
+		var err error
+		if streams, err = decodeLegacyReplicas(data); err != nil {
+			return nil, err
+		}
+	} else {
+		r := binenc.Reader{Buf: data}
+		for len(r.Buf) > 0 {
+			st, err := readStream(&r, StreamReplica)
+			if err != nil {
+				return nil, err
+			}
+			streams = append(streams, st)
+		}
+	}
+	for i, st := range streams {
+		if st.Source == "" || (i > 0 && st.Source <= streams[i-1].Source) {
+			return nil, fmt.Errorf("replica stream for peer %q out of order", st.Source)
+		}
+	}
+	return streams, nil
 }

@@ -9,7 +9,6 @@
 package store
 
 import (
-	"encoding"
 	"errors"
 	"fmt"
 	"sort"
@@ -56,8 +55,8 @@ func (w Window) validate() error {
 	if !w.enabled() {
 		return nil
 	}
-	if w.Buckets < 2 || w.Buckets > 1024 {
-		return fmt.Errorf("store: window buckets must be in [2, 1024], got %d", w.Buckets)
+	if w.Buckets < 2 || w.Buckets > maxRingBuckets {
+		return fmt.Errorf("store: window buckets must be in [2, %d], got %d", maxRingBuckets, w.Buckets)
 	}
 	if w.Interval <= 0 {
 		return fmt.Errorf("store: window interval must be positive, got %v", w.Interval)
@@ -416,34 +415,51 @@ func (s *Store) Merge(name string, envelope []byte) error {
 	return nil
 }
 
-// MergeWindow folds a peer's window envelope into name's current
-// window bucket, creating the entry if needed — the windowed
-// counterpart of Merge, used by cluster handoff when a node ships its
-// live window to a new owner. The merged keys land in the bucket that
-// is current at arrival: the peer's per-bucket event times are not in
-// the envelope, so the receiving ring treats them as "seen now", which
-// keeps the window estimate an upper-bounded union (a key can only
-// stay visible slightly longer, never disappear early). The all-time
-// sketch and its delta version are untouched.
-func (s *Store) MergeWindow(name string, envelope []byte) error {
-	peer, err := knw.Open(envelope)
+// MergeRing folds a peer's window ring into name's, bucket by bucket
+// by epoch, creating the entry if needed — handoff's window sink. Epochs
+// are wall-aligned interval indices, so a bucket inside the live range
+// merges into the bucket of the same epoch, one newer than the current
+// epoch into the current bucket, and one older than the live range is
+// dropped, as it has expired here too. A ring of another interval folds
+// whole into the current bucket, and a store without a window folds it
+// into its all-time sketch: the keys then stay visible too long, never
+// too short. Every bucket is checked against the store's kind, options
+// and seed before anything merges. The entry version moves, so the next
+// delta checkpoint carries the merged ring.
+func (s *Store) MergeRing(name string, ring RingRecord) error {
+	rs, err := s.OpenRing(ring)
 	if err != nil {
 		return err
 	}
-	if err := knw.Compatible(s.template, peer); err != nil {
+	e, err := s.lookup(name, true)
+	if err != nil {
 		return err
-	}
-	e, lerr := s.lookup(name, true)
-	if lerr != nil {
-		return lerr
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.window == nil {
-		return fmt.Errorf("%w (%q)", ErrNotWindowed, name)
+	s.drainLocked(e) // pending keys keep their own write times
+	defer e.version.Add(1)
+	w := e.window
+	if w != nil {
+		s.met.rotations.Add(uint64(w.rotate(s.now())))
 	}
-	s.met.rotations.Add(uint64(e.window.rotate(s.now())))
-	return knw.MergeInto(e.window.current(), peer)
+	for _, b := range rs.Buckets {
+		var dst knw.Estimator
+		switch {
+		case w == nil:
+			dst = e.total
+		case rs.Interval != w.interval || b.Epoch > w.epoch:
+			dst = w.current()
+		case b.Epoch > w.epoch-int64(len(w.buckets)):
+			dst = w.bucketAt(int(w.epoch - b.Epoch))
+		default:
+			continue
+		}
+		if err := knw.MergeInto(dst, b.Sketch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Snapshot appends name's all-time sketch as a self-describing
@@ -451,33 +467,45 @@ func (s *Store) MergeWindow(name string, envelope []byte) error {
 // or PUT back through Restore. It returns ErrNotFound for
 // never-written names.
 func (s *Store) Snapshot(name string, buf []byte) ([]byte, error) {
-	env, _, err := s.snapshot(name, buf, false)
-	return env, err
-}
-
-// SnapshotEstimate is Snapshot plus the all-time estimate of the state
-// the envelope holds, read under the same entry lock — what cluster
-// handoff counts as the key mass it ships, without reopening the
-// envelope.
-func (s *Store) SnapshotEstimate(name string, buf []byte) ([]byte, float64, error) {
-	return s.snapshot(name, buf, true)
-}
-
-func (s *Store) snapshot(name string, buf []byte, estimate bool) ([]byte, float64, error) {
 	e, err := s.lookup(name, false)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.drainLocked(e) // envelopes must carry every acknowledged write
-	env := appendSketch(buf, e.total)
-	if !estimate {
-		return env, 0, nil
+	return appendSketch(buf, e.total), nil
+}
+
+// AppendRecord adds name's whole state to sw as one record: the drained
+// all-time envelope and, on a windowed store, the ring rotated to the
+// store clock, both encoded under the entry lock. It returns the
+// all-time estimate of the state written — what handoff counts as the
+// key mass it ships.
+func (s *Store) AppendRecord(sw *StreamWriter, name string) (float64, error) {
+	e, err := s.lookup(name, false)
+	if err != nil {
+		return 0, err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s.drainLocked(e)
+	if e.window != nil {
+		s.met.rotations.Add(uint64(e.window.rotate(s.now())))
+	}
+	sw.add(name, 0, nil, e.total, e.ringView())
 	// Encoding finished any deamortized phase, so this is the estimate
-	// of exactly the bytes shipped.
-	return env, e.total.Estimate(), nil
+	// of exactly the bytes written.
+	return e.total.Estimate(), nil
+}
+
+// ringView is the entry's ring as records carry it (none when the
+// store is unwindowed). Callers hold e.mu.
+func (e *entry) ringView() RingSnapshot {
+	if e.window == nil {
+		return RingSnapshot{}
+	}
+	return e.window.view()
 }
 
 // CopySketch returns a native copy of name's drained all-time sketch
@@ -573,17 +601,6 @@ func (s *Store) Restore(name string, envelope []byte) error {
 	e.total = peer
 	e.version.Add(1)
 	return nil
-}
-
-// appendSketch appends est's envelope to buf. Every store kind is a
-// wire kind (New checks), and a wire kind's AppendBinary never fails:
-// its error result is there for encoding.BinaryAppender.
-func appendSketch(buf []byte, est knw.Estimator) []byte {
-	out, err := est.(encoding.BinaryAppender).AppendBinary(buf)
-	if err != nil {
-		panic("store: encoding a " + est.Name() + " sketch: " + err.Error())
-	}
-	return out
 }
 
 // Names returns every store name in sorted order.

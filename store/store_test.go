@@ -353,7 +353,8 @@ func TestLoadCheckpointMismatch(t *testing.T) {
 // TestWindowConfigChangeDropsRing: loading a checkpoint whose ring
 // shape differs keeps the totals and silently starts a fresh ring.
 func TestWindowConfigChangeDropsRing(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
+	base := time.Unix(1_700_000_000, 0)
+	now := base
 	cfg := testConfig()
 	cfg.Window = Window{Buckets: 3, Interval: time.Minute}
 	cfg.Now = func() time.Time { return now }
@@ -366,18 +367,30 @@ func TestWindowConfigChangeDropsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg2 := cfg
-	cfg2.Window = Window{Buckets: 5, Interval: time.Minute}
-	s2, _ := New(cfg2)
-	if _, err := s2.LoadCheckpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	est, err := s2.Estimate("t/m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	within(t, "all-time survives ring change", est.AllTime, 1000, 0.25)
-	if est.Window != 0 {
-		t.Fatalf("window after ring change = %.1f, want 0 (fresh ring)", est.Window)
+	// Another bucket count, or another interval. The second is the
+	// regression case for a frozen window: a 1 min ring used to restore
+	// into a 1 h window because the bucket counts matched, with its
+	// epoch (a minute index) far ahead of the store's hour index, so
+	// rotation never advanced and the window read the restored keys
+	// forever.
+	for _, w := range []Window{{Buckets: 5, Interval: time.Minute}, {Buckets: 3, Interval: time.Hour}} {
+		cfg2 := cfg
+		cfg2.Window = w
+		now = base
+		s2, _ := New(cfg2)
+		if _, err := s2.LoadCheckpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, later := range []time.Duration{0, 10 * time.Hour, 1010 * time.Hour} {
+			now = base.Add(later)
+			est, err := s2.Estimate("t/m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			within(t, "all-time survives ring change", est.AllTime, 1000, 0.25)
+			if est.Window != 0 {
+				t.Fatalf("%+v window %v after restore = %.1f, want 0 (fresh ring)", w, later, est.Window)
+			}
+		}
 	}
 }

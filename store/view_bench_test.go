@@ -90,9 +90,9 @@ func BenchmarkReplicaView(b *testing.B) {
 // BenchmarkRingSnapshot measures the per-bucket export of a 4-bucket
 // ring of 2^13 keys per bucket, the unit a series gather moves: "local"
 // is RingSnapshot alone (the local member's share of a gather), "serve"
-// adds Encode (a peer answering GET /v1/snapshot?scope=buckets), and
-// "wire" adds DecodeRingSnapshot too (a peer's share, serve plus
-// receive).
+// adds AppendRingStream (a peer answering GET
+// /v1/snapshot?scope=buckets), and "wire" adds DecodeStream and
+// OpenRing too (a peer's share, serve plus receive).
 func BenchmarkRingSnapshot(b *testing.B) {
 	for _, eps := range []float64{0.2, 0.05} {
 		base := time.Unix(0, 0).Add(1_000_000 * time.Minute)
@@ -130,7 +130,7 @@ func BenchmarkRingSnapshot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				buf = rs.Encode(buf[:0])
+				buf = AppendRingStream(buf[:0], name, rs)
 			}
 			b.SetBytes(int64(len(buf)))
 		})
@@ -142,8 +142,12 @@ func BenchmarkRingSnapshot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				buf = rs.Encode(buf[:0])
-				if _, err := DecodeRingSnapshot(buf); err != nil {
+				buf = AppendRingStream(buf[:0], name, rs)
+				st, err := DecodeStream(buf, StreamRing)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.OpenRing(st.Records[0].Ring); err != nil {
 					b.Fatal(err)
 				}
 			}

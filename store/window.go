@@ -98,6 +98,31 @@ func (w *windowRing) bucketAt(j int) knw.Estimator {
 	return w.buckets[(w.cur-j+n)%n]
 }
 
+// view returns the ring's buckets oldest → newest with their epochs,
+// aliasing the live sketches, so callers hold the entry lock while they
+// use it. A ring that never rotated holds no keys and has no buckets to
+// show.
+func (w *windowRing) view() RingSnapshot {
+	if !w.started {
+		return RingSnapshot{}
+	}
+	n := len(w.buckets)
+	out := RingSnapshot{Interval: w.interval, Buckets: make([]BucketSnapshot, n)}
+	for j := 0; j < n; j++ {
+		out.Buckets[n-1-j] = BucketSnapshot{Epoch: w.epoch - int64(j), Sketch: w.bucketAt(j)}
+	}
+	return out
+}
+
+// install replaces the ring with saved buckets, oldest → newest, the
+// newest at epoch.
+func (w *windowRing) install(epoch int64, buckets []knw.Estimator) {
+	copy(w.buckets, buckets)
+	w.cur = len(w.buckets) - 1
+	w.epoch = epoch
+	w.started = true
+}
+
 // merged folds the live ring into the scratch sketch and returns it —
 // the union sketch over the trailing window. The scratch is reused
 // across calls and is only valid until the next merged or mergedSpan
