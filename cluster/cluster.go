@@ -14,10 +14,11 @@
 //     (the replication factor). Every node computes identical
 //     ownership from the descriptor alone; there is no metadata
 //     service. The boot descriptor (epoch 1) comes from the -peers
-//     flag, and joins/leaves advance it through the two-phase cutover
-//     in membership.go, with sketch handoff (handoff.go) pushing
-//     re-owned data as whole envelopes — O(sketch), not O(keys) — in
-//     the same peer record stream gossip pulls carry (records.go).
+//     flag, and joins/leaves advance it through the coordinator's
+//     prepare, handoff and commit phases (membership.go). In the
+//     handoff phase (handoff.go) each old owner pushes re-owned data
+//     as whole envelopes — O(sketch), not O(keys) — in the same peer
+//     record stream gossip pulls carry (records.go).
 //   - Writes route. POST /v1/cluster/ingest decodes its body with the
 //     leaf's decoder (httpx.DecodeIngest, so both ingest endpoints
 //     share one body contract), hashes each key once through the
@@ -50,6 +51,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -96,14 +98,12 @@ type Config struct {
 	GossipInterval time.Duration
 	// GossipFanout is how many random peers each round syncs (0 = all).
 	GossipFanout int
-	// HandoffTimeout bounds how long a membership change waits for old
-	// owners to confirm their handoff before committing the new ring
-	// epoch anyway (default 30s). With replication ≥ 2 a skipped
-	// (unreachable) member's keys survive on the other replicas.
+	// HandoffTimeout bounds a membership change's handoff phase: the
+	// coordinator's wait for each old owner, and each owner's push
+	// retries (default 30s). Past it the coordinator commits the new
+	// ring epoch anyway; with replication ≥ 2 a skipped (unreachable)
+	// member's keys survive on the other replicas.
 	HandoffTimeout time.Duration
-	// HandoffPoll is the coordinator's handoff-status poll cadence
-	// during the prepare window (default 100ms).
-	HandoffPoll time.Duration
 	// Log receives structured operational logs. Nil discards them. The
 	// service layer passes its own logger down so cluster events share
 	// the daemon's -log-level/-log-format.
@@ -138,9 +138,6 @@ func (c *Config) withDefaults() Config {
 	if out.HandoffTimeout == 0 {
 		out.HandoffTimeout = 30 * time.Second
 	}
-	if out.HandoffPoll == 0 {
-		out.HandoffPoll = 100 * time.Millisecond
-	}
 	if out.Log == nil {
 		out.Log = trace.DiscardLogger()
 	}
@@ -161,29 +158,33 @@ type Router struct {
 	met    routerMetrics
 
 	// live is the routing snapshot handlers load once per request;
-	// memMu guards the descriptor state it is rebuilt from, changeMu
-	// serializes local coordinators (Join/Leave), and ho is the current
-	// transition's handoff engine.
+	// memMu guards the descriptor state it is rebuilt from, and
+	// changeMu serializes local coordinators (Join/Leave).
 	live     atomic.Pointer[ringView]
 	memMu    sync.Mutex
 	changeMu sync.Mutex
 	cur      *RingDescriptor
 	curRing  *ring
 	pending  *transition // nil when stable
-	ho       *handoff
 
 	// now/sleepFn are injectable for the fake-clock cutover tests.
 	now     func() time.Time
 	sleepFn func(time.Duration)
 }
 
-// sleep pauses via the injected clock when tests set one.
-func (rt *Router) sleep(d time.Duration) {
+// sleep pauses for d or until ctx ends, via the injected clock when
+// tests set one.
+func (rt *Router) sleep(ctx context.Context, d time.Duration) {
 	if rt.sleepFn != nil {
 		rt.sleepFn(d)
 		return
 	}
-	time.Sleep(d)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
+	}
 }
 
 // routerMetrics are the cluster-layer instruments, labeled by peer URL
@@ -261,9 +262,9 @@ func New(cfg Config, st *store.Store, reg *metrics.Registry) (*Router, error) {
 	return rt, nil
 }
 
-// Close cancels any in-flight handoff pushes and waits for them. The
-// service layer calls it on shutdown after draining.
-func (rt *Router) Close() { rt.stopHandoff() }
+// Close releases the router's idle peer connections. The service layer
+// calls it on shutdown after draining.
+func (rt *Router) Close() { rt.client.CloseIdleConnections() }
 
 func (rt *Router) initMetrics(reg *metrics.Registry) {
 	rt.met = routerMetrics{
@@ -288,7 +289,7 @@ func (rt *Router) initMetrics(reg *metrics.Registry) {
 		localKeys: reg.NewCounter("knwd_cluster_local_keys_total",
 			"Routed key-replicas owned by this node itself."),
 		handoffStores: reg.NewCounter("knwd_handoff_stores_total",
-			"Store records shipped to new owners by the handoff engine."),
+			"Store records shipped to new owners by the handoff phase."),
 		handoffKeys: reg.NewCounter("knwd_handoff_keys_total",
 			"Estimated distinct keys covered by shipped handoff envelopes."),
 		handoffBytes: reg.NewCounter("knwd_handoff_bytes_total",

@@ -98,7 +98,7 @@ func (s *session) routeHashed(keys []uint64) {
 
 // routeOne appends one key hash to the buffers of its owners — the
 // committed ring's R owners plus, mid-rebalance, the pending ring's
-// (the two-phase cutover's union routing) — flushing any buffer that
+// (the cutover's union routing) — flushing any buffer that
 // reaches the threshold. Ring placement is mix64(h): the sketch hash
 // is already universe-folded (possibly far narrower than 64 bits), and
 // ring position sorts by high bits, so the avalanche re-spread is what

@@ -1,10 +1,9 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -15,7 +14,7 @@ import (
 	"repro/store"
 )
 
-// The handoff engine moves re-owned data to its new owners during a
+// The handoff phase moves re-owned data to its new owners during a
 // membership transition. Mergeability is what makes this O(sketch)
 // instead of O(keys): a node does not enumerate or re-route individual
 // keys — it ships each store's envelope (a few KB regardless of
@@ -35,124 +34,65 @@ import (
 // (descriptor.go): a node started with -join boots on a one-member ring
 // and would otherwise see itself owning everything.
 //
-// Pushes retry with capped exponential backoff until they succeed, the
-// attempt budget runs out, or a newer epoch supersedes the transition;
-// each push rebuilds the stream from live snapshots, so a retry after
-// more ingest simply carries the fresher envelope (idempotent merges).
-const (
-	// maxHandoffBackoff caps the push retry backoff.
-	maxHandoffBackoff = 2 * time.Second
-	// maxHandoffAttempts bounds one target's pushes; past it the
-	// coordinator's cutover deadline decides (replication covers the
-	// data when the target stayed unreachable).
-	maxHandoffAttempts = 60
-)
+// Handoff is the middle of the coordinator's three phases (prepare,
+// handoff, commit; membership.go). It starts only once every member
+// holds the transition and routes to the union, so keys routed on the
+// old ring before a member adopted are in the stream. Each old member
+// builds its stream once, pushes it to every target concurrently, and
+// answers the coordinator when every push has landed or failed.
 
-// HandoffTarget is one peer's transfer progress.
-type HandoffTarget struct {
-	Done     bool   `json:"done"`
-	Attempts int    `json:"attempts"`
-	Stores   int    `json:"stores"`
-	LastErr  string `json:"error,omitempty"`
-}
-
-// HandoffStatus reports one epoch's outbound transfer state — the
-// coordinator's poll answer.
-type HandoffStatus struct {
-	Epoch   uint64                   `json:"epoch"`
-	Done    bool                     `json:"done"`
-	Targets map[string]HandoffTarget `json:"targets,omitempty"`
-}
-
-// handoff drives one pending epoch's outbound pushes.
-type handoff struct {
-	rt     *Router
-	epoch  uint64
-	cancel chan struct{}
-	wg     sync.WaitGroup
-
-	mu      sync.Mutex
-	targets map[string]*HandoffTarget
-}
-
-// startHandoffLocked cancels any previous engine and starts pushes for
-// the view's pending epoch. Callers hold memMu.
-func (rt *Router) startHandoffLocked(v *ringView) {
-	if rt.ho != nil {
-		close(rt.ho.cancel)
+// handoff runs the handoff phase on this node for the pending epoch
+// and returns the targets it pushed to. A push retries until it lands,
+// the peer answers 4xx, HandoffTimeout passes, or ctx ends (a remote
+// coordinator that gave up on the call cancels it); the error joins the
+// pushes that did not land.
+func (rt *Router) handoff(ctx context.Context, epoch uint64) ([]string, error) {
+	v := rt.view()
+	if v.pendingEpoch != epoch {
+		return nil, fmt.Errorf("%w %d (pending %d, committed %d)", errNotPending, epoch, v.pendingEpoch, v.epoch)
 	}
-	h := &handoff{
-		rt:      rt,
-		epoch:   v.pendingEpoch,
-		cancel:  make(chan struct{}),
-		targets: make(map[string]*HandoffTarget),
+	targets := handoffTargets(v)
+	if len(targets) == 0 {
+		return nil, nil
 	}
-	for _, peer := range handoffTargets(v) {
-		h.targets[peer] = &HandoffTarget{}
+	payload, stores, keys, err := rt.handoffStream(epoch)
+	if err != nil {
+		return targets, err
 	}
-	rt.ho = h
-	if len(h.targets) == 0 {
-		return
+	rt.log.Info("handoff started", "epoch", epoch, "targets", len(targets), "stores", stores)
+	deadline := rt.now().Add(rt.cfg.HandoffTimeout)
+	errs := make([]error, len(targets))
+	var wg sync.WaitGroup
+	for i, peer := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			act := rt.tracer.StartLocal("handoff.push")
+			act.SetPeer(peer)
+			t0 := time.Now()
+			tries, err := rt.post(ctx, rt.client, peer+"/v1/cluster/handoff", payload, 0, deadline)
+			d := time.Since(t0)
+			rt.met.handoffRetries.Add(uint64(tries - 1))
+			if err != nil {
+				rt.met.handoffErrors.Add(uint64(tries))
+				rt.log.Warn("handoff push failed", "peer", peer, "epoch", epoch, "attempts", tries, "err", err)
+				errs[i] = fmt.Errorf("handoff to %s: %w", peer, err)
+			} else {
+				rt.met.handoffErrors.Add(uint64(tries - 1))
+				rt.met.handoffStores.Add(uint64(stores))
+				rt.met.handoffKeys.Add(keys)
+				rt.met.handoffBytes.Add(uint64(len(payload)))
+				rt.met.handoffSeconds.Observe(d.Seconds())
+				rt.met.stageHandoffPush.Observe(d.Seconds())
+				act.Stage("handoff_push", d)
+				rt.log.Info("handoff push complete", "peer", peer, "epoch", epoch,
+					"stores", stores, "bytes", len(payload), "attempts", tries)
+			}
+			rt.tracer.FinishLocal(act, err)
+		}()
 	}
-	rt.log.Info("handoff started", "epoch", h.epoch, "targets", len(h.targets))
-	for peer := range h.targets {
-		h.wg.Add(1)
-		go h.push(peer)
-	}
-}
-
-// stopHandoff cancels the running engine and waits for its pushers —
-// the shutdown path.
-func (rt *Router) stopHandoff() {
-	rt.memMu.Lock()
-	h := rt.ho
-	rt.ho = nil
-	rt.memMu.Unlock()
-	if h == nil {
-		return
-	}
-	select {
-	case <-h.cancel:
-	default:
-		close(h.cancel)
-	}
-	h.wg.Wait()
-}
-
-// HandoffStatus reports the transfer state for one epoch. Epochs at or
-// below the committed one with no live engine read as done: either the
-// transfer finished and was superseded, or this node had nothing to
-// ship for it.
-func (rt *Router) HandoffStatus(epoch uint64) HandoffStatus {
-	rt.memMu.Lock()
-	h := rt.ho
-	committed := rt.cur.Epoch
-	pending := uint64(0)
-	if rt.pending != nil {
-		pending = rt.pending.next.Epoch
-	}
-	rt.memMu.Unlock()
-	if h != nil && h.epoch == epoch {
-		return h.status()
-	}
-	// No engine for that epoch: done when this node has moved past it
-	// (committed or superseded by a newer proposal); not done when the
-	// node has never heard of the epoch at all.
-	return HandoffStatus{Epoch: epoch, Done: committed >= epoch || pending > epoch}
-}
-
-func (h *handoff) status() HandoffStatus {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := HandoffStatus{Epoch: h.epoch, Done: true,
-		Targets: make(map[string]HandoffTarget, len(h.targets))}
-	for peer, t := range h.targets {
-		out.Targets[peer] = *t
-		if !t.Done {
-			out.Done = false
-		}
-	}
-	return out
+	wg.Wait()
+	return targets, errors.Join(errs...)
 }
 
 // handoffTargets computes the peers this node must push to: every
@@ -218,128 +158,25 @@ func handoffTargets(v *ringView) []string {
 	return out
 }
 
-// push drives one target until its transfer lands (or the engine is
-// canceled / the attempt budget runs out).
-func (h *handoff) push(peer string) {
-	defer h.wg.Done()
-	rt := h.rt
-	backoff := rt.cfg.Backoff
-	for attempt := 0; attempt < maxHandoffAttempts; attempt++ {
-		if attempt > 0 {
-			rt.met.handoffRetries.Inc()
-			if !h.pause(backoff) {
-				return
-			}
-			if backoff < maxHandoffBackoff {
-				backoff *= 2
-			}
-		}
-		select {
-		case <-h.cancel:
-			return
-		default:
-		}
-		stores, keys, nbytes, err, permanent := rt.pushHandoff(peer, h.epoch)
-		h.mu.Lock()
-		t := h.targets[peer]
-		t.Attempts = attempt + 1
-		if err == nil {
-			t.Done = true
-			t.Stores = stores
-			t.LastErr = ""
-			h.mu.Unlock()
-			rt.met.handoffStores.Add(uint64(stores))
-			rt.met.handoffKeys.Add(keys)
-			rt.met.handoffBytes.Add(nbytes)
-			rt.log.Info("handoff push complete", "peer", peer, "epoch", h.epoch,
-				"stores", stores, "bytes", nbytes)
-			return
-		}
-		t.LastErr = err.Error()
-		h.mu.Unlock()
-		rt.met.handoffErrors.Inc()
-		rt.log.Warn("handoff push failed", "peer", peer, "epoch", h.epoch,
-			"attempt", attempt+1, "err", err)
-		if permanent {
-			return
-		}
-	}
-}
-
-// pause sleeps the retry backoff, returning false when the engine was
-// canceled meanwhile. Tests inject Router.sleepFn to run retries on a
-// fake clock.
-func (h *handoff) pause(d time.Duration) bool {
-	if h.rt.sleepFn != nil {
-		h.rt.sleepFn(d)
-		select {
-		case <-h.cancel:
-			return false
-		default:
-			return true
-		}
-	}
-	select {
-	case <-h.cancel:
-		return false
-	case <-time.After(d):
-		return true
-	}
-}
-
-// pushHandoff builds one record stream from the live stores and
-// delivers it. stores counts the records shipped; keys is the
-// estimated distinct-key mass shipped (the sum of the shipped stores'
-// all-time estimates — what knwd_handoff_keys_total accumulates).
-// permanent marks 4xx rejections, which a retry cannot fix.
-func (rt *Router) pushHandoff(peer string, epoch uint64) (stores int, keys, nbytes uint64, err error, permanent bool) {
-	act := rt.tracer.StartLocal("handoff.push")
-	act.SetPeer(peer)
-	t0 := time.Now()
-	defer func() {
-		d := time.Since(t0)
-		if err == nil {
-			rt.met.handoffSeconds.Observe(d.Seconds())
-			rt.met.stageHandoffPush.Observe(d.Seconds())
-			act.Stage("handoff_push", d)
-		}
-		rt.tracer.FinishLocal(act, err)
-	}()
-
+// handoffStream builds one record stream of every local store. stores
+// counts its records; keys is the estimated distinct-key mass they carry
+// (the sum of their all-time estimates — what knwd_handoff_keys_total
+// accumulates per landed push).
+func (rt *Router) handoffStream(epoch uint64) (payload []byte, stores int, keys uint64, err error) {
 	sw := store.StreamWriter{Header: store.StreamHeader{Kind: store.StreamHandoff, Source: rt.cfg.Self, Anchor: epoch}}
 	var keyMass float64
 	for _, name := range rt.local.Names() {
-		est, serr := rt.local.AppendRecord(&sw, name)
-		if errors.Is(serr, store.ErrNotFound) {
+		est, err := rt.local.AppendRecord(&sw, name)
+		if errors.Is(err, store.ErrNotFound) {
 			continue // deleted between Names and AppendRecord
 		}
-		if serr != nil {
-			return 0, 0, 0, serr, false
+		if err != nil {
+			return nil, 0, 0, err
 		}
 		stores++
 		keyMass += est
 	}
-	payload := append(sw.Head(), sw.Body()...)
-	req, rerr := http.NewRequest(http.MethodPost, peer+"/v1/cluster/handoff", bytes.NewReader(payload))
-	if rerr != nil {
-		return 0, 0, 0, rerr, false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, derr := rt.client.Do(req)
-	if derr != nil {
-		return 0, 0, 0, derr, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return 0, 0, 0, fmt.Errorf("peer answered HTTP %d: %s", resp.StatusCode, msg),
-			resp.StatusCode >= 400 && resp.StatusCode < 500
-	}
-	io.Copy(io.Discard, resp.Body)
-	if keyMass < 0 {
-		keyMass = 0
-	}
-	return stores, uint64(keyMass + 0.5), uint64(len(payload)), nil, false
+	return append(sw.Head(), sw.Body()...), stores, uint64(max(keyMass, 0) + 0.5), nil
 }
 
 // HandleHandoff is POST /v1/cluster/handoff: merge an inbound record

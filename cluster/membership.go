@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/httpx"
@@ -17,23 +19,24 @@ import (
 
 // Dynamic membership: the static peer list becomes a sequence of
 // epoch-numbered ring descriptors (descriptor.go), and a membership
-// change is a two-phase cutover:
+// change is a cutover in three phases the coordinator (whichever node
+// served the join/leave) drives over POST /v1/cluster/ring:
 //
-//  1. Prepare. A coordinator (whichever node served the join/leave)
-//     proposes epoch E+1 and broadcasts the descriptor. Every node
-//     that adopts it keeps TWO rings — the committed one and the
-//     pending one — and from that moment routes every ingested key to
-//     the UNION of its old and new owner sets. Union routing is free
-//     under sketch semantics (a key counted on extra replicas still
-//     counts once in any merged estimate), and it is what keeps every
-//     key owned throughout the transition: old owners still receive
-//     it, new owners start receiving it.
-//  2. Handoff, then commit. Each node that owns data a new owner
-//     should hold streams its envelopes over (handoff.go) and merges
-//     arrive-side, so the new owners' sketches already cover history
-//     when the coordinator commits E+1. Commit atomically swaps the
-//     pending ring in as the committed one; readers pick up the new
-//     epoch on their next request via one atomic pointer load.
+//  1. Prepare. The coordinator proposes epoch E+1 and broadcasts the
+//     descriptor. Every node that adopts it keeps TWO rings — the
+//     committed one and the pending one — and from that moment routes
+//     every ingested key to the UNION of its old and new owner sets.
+//     Union routing is free under sketch semantics (a key counted on
+//     extra replicas still counts once in any merged estimate), and it
+//     is what keeps every key owned throughout the transition: old
+//     owners still receive it, new owners start receiving it.
+//  2. Handoff. Once every member acked the prepare, each old member
+//     streams its envelopes to the new owners (handoff.go), which merge
+//     them arrive-side, so the new owners' sketches already cover
+//     history when the coordinator commits E+1.
+//  3. Commit. Each node atomically swaps the pending ring in as the
+//     committed one; readers pick up the new epoch on their next
+//     request via one atomic pointer load.
 //
 // Estimates never dip below the (ε,δ) bound mid-rebalance because no
 // step ever removes information: union routing only widens write
@@ -60,9 +63,12 @@ const RebalancingHeader = "X-KNW-Rebalancing"
 
 // errStaleEpoch and errEpochConflict map to HTTP 409: the caller's
 // descriptor lost a race and should re-read the ring and retry.
+// errNotPending (also 409) answers a handoff or commit for an epoch
+// this node does not hold pending.
 var (
 	errStaleEpoch    = errors.New("cluster: descriptor epoch is stale")
 	errEpochConflict = errors.New("cluster: conflicting descriptor for epoch")
+	errNotPending    = errors.New("cluster: no pending descriptor for epoch")
 )
 
 // ringView is one immutable snapshot of the routing state: the
@@ -216,19 +222,12 @@ func (rt *Router) rebuildViewLocked() {
 	rt.live.Store(buildView(rt.cfg.Self, rt.cur, rt.curRing, rt.pending))
 }
 
-// AdoptDescriptor is the prepare phase on one node for a change this
-// node proposes from its own committed descriptor; see adopt.
-func (rt *Router) AdoptDescriptor(d *RingDescriptor) error {
-	return rt.adopt(d, rt.Descriptor())
-}
-
 // adopt is the prepare phase on one node: validate the proposed
 // descriptor against the committed/pending state, install it as
 // pending together with from, the committed descriptor it was proposed
-// from, switch routing to the union view, and start handing off
-// re-owned slices. Idempotent for descriptors already held; stale or
-// tie-break-losing proposals return errStaleEpoch/errEpochConflict
-// (HTTP 409).
+// from, and switch routing to the union view. Idempotent for
+// descriptors already held; stale or tie-break-losing proposals return
+// errStaleEpoch/errEpochConflict (HTTP 409).
 func (rt *Router) adopt(d *RingDescriptor, from RingDescriptor) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -275,7 +274,6 @@ func (rt *Router) adopt(d *RingDescriptor, from RingDescriptor) error {
 	}
 	rt.pending = &transition{next: d, from: &from, nextRing: r, fromRing: fromRing}
 	rt.rebuildViewLocked()
-	rt.startHandoffLocked(rt.live.Load())
 	rt.log.Info("ring epoch adopted", "epoch", d.Epoch,
 		"members", len(d.Members), "replication", d.Replication)
 	return nil
@@ -297,8 +295,7 @@ func (rt *Router) CommitEpoch(epoch uint64) error {
 			have = rt.pending.next.Epoch
 		}
 		rt.memMu.Unlock()
-		return fmt.Errorf("cluster: no pending descriptor for epoch %d (pending %d, committed %d)",
-			epoch, have, rt.cur.Epoch)
+		return fmt.Errorf("%w %d (pending %d, committed %d)", errNotPending, epoch, have, rt.cur.Epoch)
 	}
 	old := rt.cur
 	rt.cur, rt.curRing = rt.pending.next, rt.pending.nextRing
@@ -327,14 +324,14 @@ type ChangeResult struct {
 	Members     []string `json:"members"`
 	Replication int      `json:"replication"`
 	Changed     bool     `json:"changed"`
-	// Skipped lists members whose prepare or handoff could not be
-	// confirmed before the cutover deadline (dead nodes being removed,
-	// typically). With replication ≥ 2 their keys survive on the other
-	// replicas.
+	// Skipped lists members whose prepare, handoff or commit call
+	// failed or outlasted the cutover deadline (dead nodes being
+	// removed, typically). With replication ≥ 2 their keys survive on
+	// the other replicas.
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Join adds url to the cluster and drives the two-phase cutover to the
+// Join adds url to the cluster and drives the three-phase cutover to the
 // new ring epoch, returning once the epoch is committed. Idempotent:
 // joining a current member reports the committed state unchanged.
 func (rt *Router) Join(url string) (ChangeResult, error) {
@@ -352,10 +349,10 @@ func (rt *Router) Join(url string) (ChangeResult, error) {
 }
 
 // Leave removes url from the cluster: the departing node (if alive)
-// hands its slices off during the prepare window, and the commit drops
-// it from routing and the gossip view. Removing an unreachable node is
-// allowed — its handoff is skipped after the cutover deadline, which
-// is the crash-recovery path (safe at replication ≥ 2). Idempotent for
+// hands its slices off in the handoff phase, and the commit drops it
+// from routing and the gossip view. Removing an unreachable node is
+// allowed — its calls fail and it is skipped, which is the
+// crash-recovery path (safe at replication ≥ 2). Idempotent for
 // non-members.
 func (rt *Router) Leave(url string) (ChangeResult, error) {
 	if err := validateMemberURL(url); err != nil {
@@ -399,7 +396,6 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 		epoch = rt.pending.next.Epoch + 1
 	}
 	from := *rt.cur
-	oldMembers := from.Members
 	// Replication is ring policy, carried forward from the committed
 	// descriptor — NOT from this coordinator's boot config. A draining
 	// node proposes its own removal, and a joiner that booted alone has
@@ -420,7 +416,7 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 	out := ChangeResult{Epoch: epoch, Members: d.Members, Replication: repl, Changed: true}
 
 	// Prepare: every member of the new ring must hold the descriptor
-	// before we wait on handoff (they are about to own data). Members
+	// before any handoff starts (they are about to own data). Members
 	// only in the old ring get it best-effort — the unreachable-node
 	// removal path must not block on the node being removed.
 	body := encodePrepare(d, &from)
@@ -429,7 +425,7 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 		if peer == rt.cfg.Self {
 			continue
 		}
-		err := rt.postWithRetry(peer, "/v1/cluster/ring", body)
+		_, err := rt.post(context.Background(), rt.client, peer+"/v1/cluster/ring", body, rt.cfg.Attempts, time.Time{})
 		if err == nil {
 			continue
 		}
@@ -440,13 +436,39 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 		out.Skipped = append(out.Skipped, peer)
 	}
 
-	// Wait for every old member (the nodes that may hold re-owned data)
-	// to finish handing off, bounded by the cutover deadline.
+	// Handoff: every member now routes to the union, so what each old
+	// member pushes includes the keys routed on the old ring before a
+	// member adopted. The calls run concurrently within the cutover
+	// deadline, this node's own share in-process; a member whose call
+	// fails or times out is skipped. The phase is not bound to the
+	// caller's request: a proposed change runs on to its commit.
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HandoffTimeout)
+	defer cancel()
 	deadline := rt.now().Add(rt.cfg.HandoffTimeout)
-	for _, peer := range oldMembers {
-		if !rt.waitHandoff(peer, epoch, deadline) {
-			rt.log.Warn("handoff not confirmed before cutover deadline", "peer", peer, "epoch", epoch)
-			out.Skipped = append(out.Skipped, peer)
+	phase := *rt.client
+	phase.Timeout = 0 // ctx bounds the call, which waits on the member's pushes
+	epochQ := "&epoch=" + strconv.FormatUint(epoch, 10)
+	errs := make([]error, len(from.Members))
+	var wg sync.WaitGroup
+	for i, peer := range from.Members {
+		if containsStr(out.Skipped, peer) {
+			continue // missed the prepare, so it holds nothing pending
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if peer == rt.cfg.Self {
+				_, errs[i] = rt.handoff(ctx, epoch)
+			} else {
+				_, errs[i] = rt.post(ctx, &phase, peer+"/v1/cluster/ring?phase=handoff"+epochQ, nil, rt.cfg.Attempts, deadline)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			rt.log.Warn("handoff not confirmed; member skipped", "peer", from.Members[i], "epoch", epoch, "err", err)
+			out.Skipped = append(out.Skipped, from.Members[i])
 		}
 	}
 
@@ -460,7 +482,8 @@ func (rt *Router) changeMembership(members []string) (ChangeResult, error) {
 		if peer == rt.cfg.Self {
 			continue
 		}
-		if err := rt.postWithRetry(peer, "/v1/cluster/ring?phase=commit&epoch="+strconv.FormatUint(epoch, 10), nil); err != nil {
+		_, err := rt.post(context.Background(), rt.client, peer+"/v1/cluster/ring?phase=commit"+epochQ, nil, rt.cfg.Attempts, time.Time{})
+		if err != nil {
 			rt.log.Warn("commit broadcast failed", "peer", peer, "epoch", epoch, "err", err)
 			if !containsStr(out.Skipped, peer) {
 				out.Skipped = append(out.Skipped, peer)
@@ -479,74 +502,44 @@ func containsStr(list []string, s string) bool {
 	return false
 }
 
-// waitHandoff polls one member's handoff status for epoch until done
-// or the deadline passes. Self is checked in-process.
-func (rt *Router) waitHandoff(peer string, epoch uint64, deadline time.Time) bool {
-	for {
-		if peer == rt.cfg.Self {
-			if rt.HandoffStatus(epoch).Done {
-				return true
-			}
-		} else if st, err := rt.fetchHandoffStatus(peer, epoch); err == nil && st.Done {
-			return true
-		}
-		if !rt.now().Before(deadline) {
-			return false
-		}
-		rt.sleep(rt.cfg.HandoffPoll)
-	}
-}
-
-// postWithRetry POSTs one small control body (descriptor bytes or an
-// empty commit) to a peer's cluster endpoint, retrying transient
-// failures with the forwarding backoff schedule.
-func (rt *Router) postWithRetry(peer, path string, body []byte) error {
+// post POSTs body to url until the peer answers 200 or a 4xx (a
+// conflict or a bad request, which a retry cannot fix), or until the
+// tries run out: after attempts tries (0: no limit), once ctx ends, or
+// once the deadline passes (zero: none). Retries wait the backoff
+// schedule, Config.Backoff doubling. The control posts and the handoff
+// pushes share it; it returns the tries made.
+func (rt *Router) post(ctx context.Context, c *http.Client, url string, body []byte, attempts int, deadline time.Time) (int, error) {
 	backoff := rt.cfg.Backoff
-	var lastErr error
-	for attempt := 0; attempt < rt.cfg.Attempts; attempt++ {
-		if attempt > 0 {
-			rt.sleep(backoff)
-			backoff *= 2
+	for tries := 1; ; tries++ {
+		err, permanent := postOnce(ctx, c, url, body)
+		if err == nil || permanent || tries == attempts || ctx.Err() != nil ||
+			(!deadline.IsZero() && !rt.now().Before(deadline)) {
+			return tries, err
 		}
-		req, err := http.NewRequest(http.MethodPost, peer+path, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return nil
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		resp.Body.Close()
-		lastErr = fmt.Errorf("peer answered HTTP %d: %s", resp.StatusCode, msg)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return lastErr // permanent: conflict or bad request
-		}
+		rt.sleep(ctx, backoff)
+		backoff *= 2
 	}
-	return lastErr
 }
 
-// fetchHandoffStatus reads one peer's handoff progress for an epoch.
-func (rt *Router) fetchHandoffStatus(peer string, epoch uint64) (HandoffStatus, error) {
-	var st HandoffStatus
-	resp, err := rt.client.Get(peer + "/v1/cluster/handoff/status?epoch=" + strconv.FormatUint(epoch, 10))
+// postOnce is one try of post; permanent marks a 4xx answer.
+func postOnce(ctx context.Context, c *http.Client, url string, body []byte) (err error, permanent bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return st, err
+		return err, true
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := c.Do(req)
+	if err != nil {
+		return err, false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return st, fmt.Errorf("peer answered HTTP %d: %s", resp.StatusCode, msg)
+	if resp.StatusCode == http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return nil, false
 	}
-	err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st)
-	return st, err
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+	return fmt.Errorf("peer answered HTTP %d: %s", resp.StatusCode, msg),
+		resp.StatusCode >= 400 && resp.StatusCode < 500
 }
 
 // PeerHealth classifies every other member by gossip staleness:
@@ -625,7 +618,11 @@ func (rt *Router) handleChange(w http.ResponseWriter, r *http.Request, op func(s
 //
 //	GET  /v1/cluster/ring                         → descriptor state (JSON)
 //	POST /v1/cluster/ring                         → prepare (KNWM pair body)
+//	POST /v1/cluster/ring?phase=handoff&epoch=N   → handoff: push to the new owners
 //	POST /v1/cluster/ring?phase=commit&epoch=N    → commit
+//
+// The handoff call answers once every push has landed (200, with the
+// targets) or one has failed (502).
 func (rt *Router) HandleRing(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		rt.memMu.Lock()
@@ -644,18 +641,35 @@ func (rt *Router) HandleRing(w http.ResponseWriter, r *http.Request) {
 		httpx.Reply(w, http.StatusOK, out)
 		return
 	}
-	if phase := r.URL.Query().Get("phase"); phase == "commit" {
+	switch phase := r.URL.Query().Get("phase"); phase {
+	case "":
+	case "handoff", "commit":
 		epoch, err := strconv.ParseUint(r.URL.Query().Get("epoch"), 10, 64)
 		if err != nil {
-			httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("bad commit epoch: %w", err))
+			httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("bad %s epoch: %w", phase, err))
 			return
 		}
-		if err := rt.CommitEpoch(epoch); err != nil {
-			httpx.Fail(w, http.StatusConflict, err)
+		out := map[string]any{}
+		if phase == "commit" {
+			err = rt.CommitEpoch(epoch)
+		} else {
+			out["pending"] = epoch
+			out["targets"], err = rt.handoff(r.Context(), epoch)
+		}
+		if err != nil {
+			status := http.StatusBadGateway // a handoff push did not land
+			if errors.Is(err, errNotPending) {
+				status = http.StatusConflict
+			}
+			httpx.Fail(w, status, err)
 			return
 		}
 		rt.ringHeaders(w)
-		httpx.Reply(w, http.StatusOK, map[string]any{"epoch": rt.Epoch()})
+		out["epoch"] = rt.Epoch()
+		httpx.Reply(w, http.StatusOK, out)
+		return
+	default:
+		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("unknown ring phase %q", phase))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -681,17 +695,6 @@ func (rt *Router) HandleRing(w http.ResponseWriter, r *http.Request) {
 		"epoch":   rt.Epoch(),
 		"pending": d.Epoch,
 	})
-}
-
-// HandleHandoffStatus is GET /v1/cluster/handoff/status?epoch=N: the
-// coordinator's poll target during the prepare window.
-func (rt *Router) HandleHandoffStatus(w http.ResponseWriter, r *http.Request) {
-	epoch, err := strconv.ParseUint(r.URL.Query().Get("epoch"), 10, 64)
-	if err != nil {
-		httpx.Fail(w, http.StatusBadRequest, fmt.Errorf("bad epoch: %w", err))
-		return
-	}
-	httpx.Reply(w, http.StatusOK, rt.HandoffStatus(epoch))
 }
 
 // ringEpochGauges registers the membership gauges. Called after

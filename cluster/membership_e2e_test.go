@@ -30,8 +30,9 @@ import (
 
 // startMemberNode boots one knwd service on a pre-bound listener with
 // the churn-friendly cluster timings (fast retries, a short cutover
-// deadline so dead-node removal does not stall the test).
-func startMemberNode(t *testing.T, ln net.Listener, self string, peers []string, repl int) *node {
+// deadline so dead-node removal does not stall the test). wrap, when
+// given, wraps the service handler.
+func startMemberNode(t *testing.T, ln net.Listener, self string, peers []string, repl int, wrap ...func(http.Handler) http.Handler) *node {
 	t.Helper()
 	srv, err := service.New(service.Config{
 		Store: store.Config{
@@ -45,15 +46,18 @@ func startMemberNode(t *testing.T, ln net.Listener, self string, peers []string,
 			Backoff:        5 * time.Millisecond,
 			Timeout:        5 * time.Second,
 			HandoffTimeout: 3 * time.Second,
-			HandoffPoll:    10 * time.Millisecond,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := srv.Handler()
+	for _, w := range wrap {
+		h = w(h)
+	}
 	hs := &httptest.Server{
 		Listener: ln,
-		Config:   &http.Server{Handler: srv.Handler()},
+		Config:   &http.Server{Handler: h},
 	}
 	hs.Start()
 	nd := &node{srv: srv, hs: hs, url: self}
@@ -289,7 +293,7 @@ func TestMembershipSoak(t *testing.T) {
 	<-done
 
 	// Final state: back to 3 members at epoch 5, gauges agree, and the
-	// handoff engine demonstrably moved envelopes during the churn.
+	// handoff phase demonstrably moved envelopes during the churn.
 	if got := metricValue(t, nodes[0].url, "knwd_ring_epoch"); got != 5 {
 		t.Fatalf("knwd_ring_epoch = %v, want 5", got)
 	}
@@ -305,6 +309,99 @@ func TestMembershipSoak(t *testing.T) {
 	}
 	if shipped == 0 {
 		t.Fatal("no node shipped a handoff envelope during the churn")
+	}
+}
+
+// TestDrainHandoffCarriesLateRoutedKeys is the regression test for a
+// drain at R=1 losing keys that a member routed on the old ring before
+// it adopted the transition. The departing node's pushes used to start
+// at its own adopt, before the other members held the prepare, so keys
+// forwarded to it after its pushes had landed were on no survivor at
+// the commit. Handoff now runs only after every prepare is acked, so
+// those keys ride the push.
+func TestDrainHandoffCarriesLateRoutedKeys(t *testing.T) {
+	const storeName = "drain/users"
+	lns := make([]net.Listener, 3)
+	urls := make([]string, 3)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		urls[i] = "http://" + ln.Addr().String()
+	}
+	a, b, c := urls[0], urls[1], urls[2]
+
+	// B and C report the handoff pushes that land on them: one each.
+	landed := make(chan struct{}, 2)
+	observe := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			if r.URL.Path == "/v1/cluster/handoff" {
+				select {
+				case landed <- struct{}{}:
+				default: // a retried push; the wait needs one report per node
+				}
+			}
+		})
+	}
+	// C holds A's prepare: it waits (up to 1 s) for A's pushes to land
+	// on B and C, then routes fresh keys on its old ring, about a third
+	// of them to A only, and only then adopts.
+	const late = 300
+	var once sync.Once
+	holdPrepare := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/cluster/ring" && r.URL.Query().Get("phase") == "" {
+				once.Do(func() {
+					timeout := time.After(time.Second)
+				wait:
+					for n := 0; n < 2; n++ {
+						select {
+						case <-landed:
+						case <-timeout:
+							break wait
+						}
+					}
+					body := strings.Join(genKeys("late", 0, late), "\n") + "\n"
+					resp, err := http.Post(c+"/v1/cluster/ingest?store="+storeName, "text/plain", strings.NewReader(body))
+					if err != nil {
+						t.Errorf("late ingest through C: %v", err)
+						return
+					}
+					out, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("late ingest through C: HTTP %d: %s", resp.StatusCode, out)
+					}
+				})
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	startMemberNode(t, lns[0], a, urls, 1)
+	startMemberNode(t, lns[1], b, urls, 1, observe)
+	startMemberNode(t, lns[2], c, urls, 1, observe, holdPrepare)
+
+	const early = 300
+	if status, out := ingestLines(t, a, storeName, genKeys("early", 0, early)); status != http.StatusOK {
+		t.Fatalf("ingest through A: HTTP %d: %s", status, out)
+	}
+	res := postMembership(t, a, "leave", a)
+	if !res.Changed || res.Epoch != 2 || len(res.Members) != 2 || len(res.Skipped) != 0 {
+		t.Fatalf("drain of A: %+v", res)
+	}
+
+	// B gathers over B and C, the only members left.
+	est, partial, status := clusterEstimate(t, b, storeName)
+	if status != http.StatusOK || partial != "" {
+		t.Fatalf("estimate via B: HTTP %d, partial %q", status, partial)
+	}
+	const truth = early + late
+	if rel := math.Abs(est.AllTime-truth) / truth; rel > testEps {
+		t.Fatalf("estimate via B %.0f vs truth %d: rel err %.3f > ε=%v (the drain lost keys)",
+			est.AllTime, truth, rel, testEps)
 	}
 }
 

@@ -2,16 +2,18 @@ package cluster
 
 // Internal membership tests: the ring-descriptor codec, the
 // adopt/commit epoch state machine, handoff target selection, and the
-// fake-clock cutover edge cases (retry after a dropped peer, the
-// cutover deadline, R=1 leave of the sole replica holder). These run
-// inside the package so they can inject Router.now/sleepFn and inspect
-// the descriptor state directly; the service-level churn scenarios
-// live in membership_e2e_test.go.
+// cutover edge cases (push retry after a dropped peer, a dead and a
+// hung member in the handoff phase, R=1 leave of the sole replica
+// holder). These run inside the package so they can inject
+// Router.now/sleepFn and inspect the descriptor state directly; the
+// service-level churn scenarios live in membership_e2e_test.go.
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -41,9 +43,8 @@ func newMemberStore(t *testing.T) *store.Store {
 }
 
 // newMemberRouter builds one Router for unit tests: fast retry
-// schedule, and a no-op sleep so background handoff pushers to
-// unreachable peers burn their attempt budget instantly instead of
-// backing off for real seconds.
+// schedule, and a no-op sleep so retries to unreachable peers never
+// back off for real seconds.
 func newMemberRouter(t *testing.T, self string, peers []string, repl int) *Router {
 	t.Helper()
 	rt, err := New(Config{
@@ -53,7 +54,6 @@ func newMemberRouter(t *testing.T, self string, peers []string, repl int) *Route
 		Backoff:        time.Millisecond,
 		Timeout:        2 * time.Second,
 		HandoffTimeout: 5 * time.Second,
-		HandoffPoll:    2 * time.Millisecond,
 	}, newMemberStore(t), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,6 @@ func serveMembership(t *testing.T, rt *Router, ln net.Listener) {
 	mux.HandleFunc("/v1/cluster/join", rt.HandleJoin)
 	mux.HandleFunc("/v1/cluster/leave", rt.HandleLeave)
 	mux.HandleFunc("/v1/cluster/handoff", rt.HandleHandoff)
-	mux.HandleFunc("/v1/cluster/handoff/status", rt.HandleHandoffStatus)
 	hs := &httptest.Server{Listener: ln, Config: &http.Server{Handler: mux}}
 	hs.Start()
 	t.Cleanup(hs.Close)
@@ -248,35 +247,35 @@ func TestAdoptDescriptorRules(t *testing.T) {
 
 	// Re-announcing the committed descriptor is a no-op.
 	cur := rt.Descriptor()
-	if err := rt.AdoptDescriptor(&cur); err != nil {
+	if err := rt.adopt(&cur, rt.Descriptor()); err != nil {
 		t.Fatalf("re-announce of committed descriptor: %v", err)
 	}
 	// A different descriptor at the committed epoch is a conflict.
-	if err := rt.AdoptDescriptor(mkDescriptor(1, self)); !errors.Is(err, errEpochConflict) {
+	if err := rt.adopt(mkDescriptor(1, self), rt.Descriptor()); !errors.Is(err, errEpochConflict) {
 		t.Fatalf("conflicting epoch-1 proposal: got %v, want errEpochConflict", err)
 	}
 
 	d2 := mkDescriptor(2, self, peer, "http://127.0.0.1:3")
-	if err := rt.AdoptDescriptor(d2); err != nil {
+	if err := rt.adopt(d2, rt.Descriptor()); err != nil {
 		t.Fatalf("adopt epoch 2: %v", err)
 	}
 	if v := rt.view(); v.pendingEpoch != 2 || !v.rebalancing() {
 		t.Fatalf("view after adopt: pending %d, rebalancing %v", v.pendingEpoch, v.rebalancing())
 	}
 	// Idempotent for the descriptor already pending.
-	if err := rt.AdoptDescriptor(d2); err != nil {
+	if err := rt.adopt(d2, rt.Descriptor()); err != nil {
 		t.Fatalf("re-adopt pending: %v", err)
 	}
 	// A higher epoch supersedes the pending one.
 	d3 := mkDescriptor(3, self, peer)
-	if err := rt.AdoptDescriptor(d3); err != nil {
+	if err := rt.adopt(d3, rt.Descriptor()); err != nil {
 		t.Fatalf("adopt epoch 3 over pending 2: %v", err)
 	}
 	if got := pendingOf(rt); !got.Equal(d3) {
 		t.Fatalf("pending = %+v, want epoch-3 descriptor", got)
 	}
 	// Now epoch 2 is stale against the pending epoch.
-	if err := rt.AdoptDescriptor(d2); !errors.Is(err, errStaleEpoch) {
+	if err := rt.adopt(d2, rt.Descriptor()); !errors.Is(err, errStaleEpoch) {
 		t.Fatalf("epoch 2 under pending 3: got %v, want errStaleEpoch", err)
 	}
 
@@ -284,7 +283,7 @@ func TestAdoptDescriptorRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// And stale against the committed epoch after the cutover.
-	if err := rt.AdoptDescriptor(d2); !errors.Is(err, errStaleEpoch) {
+	if err := rt.adopt(d2, rt.Descriptor()); !errors.Is(err, errStaleEpoch) {
 		t.Fatalf("epoch 2 under committed 3: got %v, want errStaleEpoch", err)
 	}
 }
@@ -306,25 +305,25 @@ func TestSimultaneousJoinLeaveTieBreak(t *testing.T) {
 
 	// Arrival order 1: loser first, winner replaces it.
 	rt := newMemberRouter(t, self, []string{self, peer}, 1)
-	if err := rt.AdoptDescriptor(loser); err != nil {
+	if err := rt.adopt(loser, rt.Descriptor()); err != nil {
 		t.Fatalf("adopt first proposal: %v", err)
 	}
-	if err := rt.AdoptDescriptor(winner); err != nil {
+	if err := rt.adopt(winner, rt.Descriptor()); err != nil {
 		t.Fatalf("tie-break winner rejected: %v", err)
 	}
 	if got := pendingOf(rt); !got.Equal(winner) {
 		t.Fatalf("pending after winner arrives = %+v", got)
 	}
-	if err := rt.AdoptDescriptor(loser); !errors.Is(err, errEpochConflict) {
+	if err := rt.adopt(loser, rt.Descriptor()); !errors.Is(err, errEpochConflict) {
 		t.Fatalf("loser re-proposed: got %v, want errEpochConflict", err)
 	}
 
 	// Arrival order 2: winner first, loser bounces immediately.
 	rt2 := newMemberRouter(t, self, []string{self, peer}, 1)
-	if err := rt2.AdoptDescriptor(winner); err != nil {
+	if err := rt2.adopt(winner, rt2.Descriptor()); err != nil {
 		t.Fatalf("adopt winner: %v", err)
 	}
-	if err := rt2.AdoptDescriptor(loser); !errors.Is(err, errEpochConflict) {
+	if err := rt2.adopt(loser, rt2.Descriptor()); !errors.Is(err, errEpochConflict) {
 		t.Fatalf("loser after winner: got %v, want errEpochConflict", err)
 	}
 	if got := pendingOf(rt2); !got.Equal(winner) {
@@ -343,7 +342,7 @@ func TestCommitEpochRules(t *testing.T) {
 		t.Fatal("commit with no pending descriptor accepted")
 	}
 	d2 := mkDescriptor(2, self, "http://127.0.0.1:2")
-	if err := rt.AdoptDescriptor(d2); err != nil {
+	if err := rt.adopt(d2, rt.Descriptor()); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.CommitEpoch(3); err == nil {
@@ -383,7 +382,7 @@ func TestViewImmutableDuringChange(t *testing.T) {
 	buf, scratch := v.owners(0xdeadbeef, nil, nil)
 	ownersBefore = append(ownersBefore, buf...)
 
-	if err := rt.AdoptDescriptor(mkDescriptor(2, self, peer, "http://127.0.0.1:3")); err != nil {
+	if err := rt.adopt(mkDescriptor(2, self, peer, "http://127.0.0.1:3"), rt.Descriptor()); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.CommitEpoch(2); err != nil {
@@ -491,39 +490,9 @@ func TestJoinLeaveIdempotent(t *testing.T) {
 	}
 }
 
-// TestHandoffStatusFallback: epochs this node moved past read as done,
-// epochs it never heard of do not — the rule that lets a coordinator
-// poll nodes that committed early or were superseded.
-func TestHandoffStatusFallback(t *testing.T) {
-	self := "http://127.0.0.1:1"
-	peer := deadURL(t)
-	rt := newMemberRouter(t, self, []string{self, peer}, 1)
-
-	if st := rt.HandoffStatus(1); !st.Done {
-		t.Fatal("committed epoch not done")
-	}
-	if st := rt.HandoffStatus(5); st.Done {
-		t.Fatal("unknown future epoch reported done")
-	}
-	// Pending epoch 2 with an unreachable target: live engine, not done.
-	if err := rt.AdoptDescriptor(mkDescriptor(2, self, peer, deadURL(t))); err != nil {
-		t.Fatal(err)
-	}
-	// Epoch 2 superseded by pending 3 → its transfer reads done.
-	if err := rt.AdoptDescriptor(mkDescriptor(3, self, peer)); err != nil {
-		t.Fatal(err)
-	}
-	if st := rt.HandoffStatus(2); !st.Done {
-		t.Fatal("superseded epoch not done")
-	}
-	if st := rt.HandoffStatus(4); st.Done {
-		t.Fatal("epoch beyond pending reported done")
-	}
-}
-
-// TestHandoffRetryAfterDroppedPeer: a push target that drops the first
-// attempts is retried on the backoff schedule (observed via the
-// injected sleep) until the transfer lands.
+// TestHandoffRetryAfterDroppedPeer: in the handoff phase, a push
+// target that drops the first attempts is retried on the backoff
+// schedule (observed via the injected sleep) until the transfer lands.
 func TestHandoffRetryAfterDroppedPeer(t *testing.T) {
 	var hits atomic.Int32
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -545,105 +514,141 @@ func TestHandoffRetryAfterDroppedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	var sleepMu sync.Mutex
 	var sleeps []time.Duration
-	rt.sleepFn = func(d time.Duration) {
-		sleepMu.Lock()
-		sleeps = append(sleeps, d)
-		sleepMu.Unlock()
-	}
+	rt.sleepFn = func(d time.Duration) { sleeps = append(sleeps, d) }
 	if err := st.Ingest("t/m", []string{"k1", "k2", "k3"}); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := rt.AdoptDescriptor(mkDescriptor(2, self, flaky.URL)); err != nil {
+	if err := rt.adopt(mkDescriptor(2, self, flaky.URL), rt.Descriptor()); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !rt.HandoffStatus(2).Done {
-		if time.Now().After(deadline) {
-			t.Fatalf("handoff never completed: %+v", rt.HandoffStatus(2))
-		}
-		time.Sleep(time.Millisecond)
+	targets, err := rt.handoff(context.Background(), 2)
+	if err != nil {
+		t.Fatalf("handoff phase: %v", err)
 	}
-	tgt := rt.HandoffStatus(2).Targets[flaky.URL]
-	if !tgt.Done || tgt.Attempts != 3 || tgt.LastErr != "" {
-		t.Fatalf("target after retries: %+v", tgt)
+	if len(targets) != 1 || targets[0] != flaky.URL {
+		t.Fatalf("handoff targets %v, want [%s]", targets, flaky.URL)
 	}
 	if got := hits.Load(); got != 3 {
 		t.Fatalf("peer saw %d pushes, want 3 (2 dropped + 1 landed)", got)
 	}
-	sleepMu.Lock()
-	defer sleepMu.Unlock()
 	if len(sleeps) != 2 || sleeps[0] != 10*time.Millisecond || sleeps[1] != 20*time.Millisecond {
 		t.Fatalf("retry backoff schedule = %v, want [10ms 20ms]", sleeps)
 	}
 }
 
-// TestCutoverDeadlineSkipsDeadPeer: removing an unreachable node runs
-// entirely on the fake clock — the coordinator polls the dead peer's
-// handoff until the injected deadline passes, then commits anyway and
-// reports the skip.
+// TestHandoffPhaseRejects: the ring endpoint answers a handoff call for
+// an epoch that is not pending 409, a malformed epoch 400, and an
+// unknown phase 400 instead of reading its body as a prepare.
+func TestHandoffPhaseRejects(t *testing.T) {
+	self := "http://127.0.0.1:1"
+	rt := newMemberRouter(t, self, []string{self}, 1)
+	for query, want := range map[string]int{
+		"phase=handoff&epoch=2": http.StatusConflict,
+		"phase=handoff&epoch=x": http.StatusBadRequest,
+		"phase=bogus&epoch=2":   http.StatusBadRequest,
+	} {
+		rec := httptest.NewRecorder()
+		body := bytes.NewReader(encodePrepare(mkDescriptor(2, self, "http://127.0.0.1:2"), mkDescriptor(1, self)))
+		rt.HandleRing(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/ring?"+query, body))
+		if rec.Code != want {
+			t.Errorf("%s: HTTP %d, want %d (%s)", query, rec.Code, want, rec.Body)
+		}
+	}
+	if p := pendingOf(rt); p != nil {
+		t.Fatalf("a rejected phase call installed pending epoch %d", p.Epoch)
+	}
+}
+
+// TestCutoverDeadlineSkipsDeadPeer: a member that cannot confirm its
+// handoff is skipped and the cutover commits anyway. A refused (dead)
+// member is skipped after the control-post attempts, on the fake clock
+// and without waiting out the deadline; a member that accepts the
+// handoff call but never answers is skipped once HandoffTimeout passes.
 func TestCutoverDeadlineSkipsDeadPeer(t *testing.T) {
-	lnSelf, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	newCoordinator := func(t *testing.T, peer string, handoffTimeout time.Duration) *Router {
+		lnSelf, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		self := "http://" + lnSelf.Addr().String()
+		rt, err := New(Config{
+			Self: self, Peers: []string{self, peer}, Replication: 1,
+			Backoff: 20 * time.Millisecond, Timeout: time.Second,
+			HandoffTimeout: handoffTimeout,
+		}, newMemberStore(t), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		serveMembership(t, rt, lnSelf)
+		return rt
 	}
-	self := "http://" + lnSelf.Addr().String()
-	dead := deadURL(t)
-
-	st := newMemberStore(t)
-	rt, err := New(Config{
-		Self: self, Peers: []string{self, dead}, Replication: 1,
-		Backoff: 20 * time.Millisecond, Timeout: time.Second,
-		HandoffTimeout: time.Second, HandoffPoll: 100 * time.Millisecond,
-	}, st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	serveMembership(t, rt, lnSelf)
-
-	// Fake clock: now() returns the injected time, every sleep advances
-	// it. A real 1s handoff timeout with 100ms polls would wall-block;
-	// here the whole cutover window elapses in microseconds.
-	var clockMu sync.Mutex
-	clock := time.Unix(1000, 0)
-	var slept atomic.Int64
-	rt.now = func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return clock
-	}
-	rt.sleepFn = func(d time.Duration) {
-		clockMu.Lock()
-		clock = clock.Add(d)
-		clockMu.Unlock()
-		slept.Add(int64(d))
+	leave := func(t *testing.T, rt *Router, peer string) ChangeResult {
+		res, err := rt.Leave(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Changed || res.Epoch != 2 || len(res.Members) != 1 {
+			t.Fatalf("leave of %s: %+v", peer, res)
+		}
+		if len(res.Skipped) != 1 || res.Skipped[0] != peer {
+			t.Fatalf("skipped %v, want [%s]", res.Skipped, peer)
+		}
+		if rt.Epoch() != 2 || rt.view().rebalancing() {
+			t.Fatalf("cutover incomplete: epoch %d, rebalancing %v", rt.Epoch(), rt.view().rebalancing())
+		}
+		return res
 	}
 
-	start := time.Now()
-	res, err := rt.Leave(dead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Changed || res.Epoch != 2 || len(res.Members) != 1 {
-		t.Fatalf("leave of dead peer: %+v", res)
-	}
-	if !containsStr(res.Skipped, dead) {
-		t.Fatalf("dead peer not reported skipped: %+v", res)
-	}
-	if rt.Epoch() != 2 || rt.view().rebalancing() {
-		t.Fatalf("cutover incomplete: epoch %d, rebalancing %v", rt.Epoch(), rt.view().rebalancing())
-	}
-	// The deadline was honored on the fake clock (≥ the handoff timeout
-	// of virtual waiting), and honoring it did not wall-block.
-	if slept.Load() < int64(time.Second) {
-		t.Fatalf("virtual sleep %v never reached the 1s handoff timeout", time.Duration(slept.Load()))
-	}
-	if wall := time.Since(start); wall > 30*time.Second {
-		t.Fatalf("fake-clock cutover took %v of wall time", wall)
-	}
+	t.Run("refused", func(t *testing.T) {
+		dead := deadURL(t)
+		rt := newCoordinator(t, dead, time.Second)
+		// Fake clock: now() returns the injected time, every sleep
+		// advances it, so retries to the dead member cost no wall time.
+		var clockMu sync.Mutex
+		clock := time.Unix(1000, 0)
+		rt.now = func() time.Time {
+			clockMu.Lock()
+			defer clockMu.Unlock()
+			return clock
+		}
+		rt.sleepFn = func(d time.Duration) {
+			clockMu.Lock()
+			clock = clock.Add(d)
+			clockMu.Unlock()
+		}
+		leave(t, rt, dead)
+		if slept := rt.now().Sub(time.Unix(1000, 0)); slept >= time.Second {
+			t.Fatalf("virtual sleep %v waited out the 1s handoff timeout", slept)
+		}
+	})
+
+	t.Run("hung", func(t *testing.T) {
+		// The member acks prepare and commit but holds the handoff call
+		// open until the coordinator gives up on it.
+		var calls atomic.Int32
+		hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Query().Get("phase") == "handoff" {
+				calls.Add(1)
+				<-r.Context().Done()
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+		}))
+		t.Cleanup(hung.Close)
+		const timeout = 300 * time.Millisecond
+		rt := newCoordinator(t, hung.URL, timeout)
+		start := time.Now()
+		leave(t, rt, hung.URL)
+		if wall := time.Since(start); wall < timeout || wall > 10*time.Second {
+			t.Fatalf("leave took %v, want the %v handoff timeout", wall, timeout)
+		}
+		if calls.Load() != 1 {
+			t.Fatalf("hung member saw %d handoff calls, want 1", calls.Load())
+		}
+	})
 }
 
 // TestLeaveSoleReplicaHandsOff: at R=1 the departing node is the only
@@ -755,6 +760,18 @@ func TestDrainKeepsRingReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The joiner holds the join's transition (as its prepare installs
+	// it) and computes its targets over the carried committed ring.
+	from := routers[0].Descriptor()
+	next := &RingDescriptor{Epoch: 2, Members: withMember(from.Members, urls[2]),
+		Vnodes: from.Vnodes, Replication: from.Replication}
+	if err := routers[2].adopt(next, from); err != nil {
+		t.Fatal(err)
+	}
+	if got := handoffTargets(routers[2].view()); len(got) != 0 {
+		t.Fatalf("joiner handoff targets %v, want none", got)
+	}
+
 	res, err := routers[0].Join(urls[2])
 	if err != nil {
 		t.Fatal(err)
@@ -762,8 +779,10 @@ func TestDrainKeepsRingReplication(t *testing.T) {
 	if res.Epoch != 2 || res.Replication != 2 {
 		t.Fatalf("join result: %+v, want epoch 2 replication 2", res)
 	}
-	if st := routers[2].HandoffStatus(2); len(st.Targets) != 0 {
-		t.Fatalf("joiner handoff targets %v, want none", st.Targets)
+	for i := 0; i < 2; i++ {
+		if _, err := stores[i].Estimate("joiner/own"); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("member %d holds the joiner's store after the join (err %v): the joiner pushed", i, err)
+		}
 	}
 
 	// The joiner drains itself back out. Its config says replication 1,
@@ -810,7 +829,7 @@ func serveMembers(t *testing.T, n int, newStore func(i int) *store.Store, cfg fu
 		c := Config{
 			Self: urls[i], Peers: urls, Replication: 1,
 			Backoff: 2 * time.Millisecond, Timeout: 2 * time.Second,
-			HandoffTimeout: 5 * time.Second, HandoffPoll: 2 * time.Millisecond,
+			HandoffTimeout: 5 * time.Second,
 		}
 		cfg(i, &c)
 		rt, err := New(c, stores[i], nil)

@@ -42,17 +42,18 @@
 //	                   the default once gossip is on
 //	GET  /v1/cluster/info      cluster mode: membership and settings
 //	POST /v1/cluster/join      membership: add {"url": ...} to the ring
-//	                   and cut over (two-phase: union routing + sketch
-//	                   handoff, then epoch commit)
+//	                   and cut over (prepare: union routing; handoff:
+//	                   old owners push sketches; commit: epoch swap)
 //	POST /v1/cluster/leave     membership: remove a member (alive —
 //	                   drained first — or dead) and cut over
 //	GET/POST /v1/cluster/ring  membership control plane: descriptor
 //	                   state; prepare (the proposed and the committed
-//	                   KNWM descriptor); ?phase=commit
+//	                   KNWM descriptor); ?phase=handoff&epoch= (push
+//	                   re-owned stores, answer when every push landed);
+//	                   ?phase=commit&epoch=
 //	POST /v1/cluster/handoff   rebalance data plane: a record stream
 //	                   (KNWG) of a re-owned peer's all-time envelopes
 //	                   and rings, merged on arrival
-//	GET  /v1/cluster/handoff/status  per-epoch handoff progress
 //	GET  /v1/gossip/digest     gossip: this node's version vector
 //	POST /v1/gossip/pull       gossip: a record stream of delta/full
 //	                   envelopes since the caller's base versions
@@ -238,7 +239,6 @@ func New(cfg Config) (*Server, error) {
 		s.handle("POST /v1/cluster/leave", "/v1/cluster/leave", rt.HandleLeave)
 		s.handle("/v1/cluster/ring", "/v1/cluster/ring", rt.HandleRing)
 		s.handle("POST /v1/cluster/handoff", "/v1/cluster/handoff", rt.HandleHandoff)
-		s.handle("GET /v1/cluster/handoff/status", "/v1/cluster/handoff/status", rt.HandleHandoffStatus)
 		if rt.GossipEnabled() {
 			s.handle("GET /v1/gossip/digest", "/v1/gossip/digest", rt.HandleGossipDigest)
 			s.handle("POST /v1/gossip/pull", "/v1/gossip/pull", rt.HandleGossipPull)

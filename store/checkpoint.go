@@ -156,9 +156,7 @@ func (e *entry) appendCheckpoint(s *Store, sw *StreamWriter, name string) uint64
 	s.refreshEncLocked(e)
 	c := e.enc
 	env := c.full
-	// Window rings are not versioned, so windowed entries always carry
-	// the full envelope plus the full ring.
-	if delta && base < c.version && c.sections && e.window == nil {
+	if delta && base < c.version && c.sections {
 		var idx []int
 		for i, sv := range c.secVers {
 			if sv > base {

@@ -228,8 +228,11 @@ func TestCheckpointDeltaCorrupt(t *testing.T) {
 	}
 }
 
-// TestCheckpointIncrementalWindowed: windowed entries ride the delta
-// file as full envelopes plus their ring, and restore mid-rotation.
+// TestCheckpointIncrementalWindowed: a windowed entry rides the delta
+// file with its all-time sketch as a KNWD section delta, like any other
+// entry (only its ring goes whole), so the delta file is smaller than
+// the full one; it restores mid-rotation with byte-identical all-time
+// and window snapshots.
 func TestCheckpointIncrementalWindowed(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	cfg := Config{
@@ -257,6 +260,12 @@ func TestCheckpointIncrementalWindowed(t *testing.T) {
 	if err := s.CheckpointIncremental(dir); err != nil {
 		t.Fatal(err)
 	}
+	full := fileSize(t, filepath.Join(dir, CheckpointFile))
+	delta := fileSize(t, filepath.Join(dir, CheckpointDeltaFile))
+	if delta >= full {
+		t.Fatalf("windowed delta file %dB not smaller than the full file %dB", delta, full)
+	}
+	t.Logf("full file %dB, delta file %dB", full, delta)
 	want, err := s.Estimate(name)
 	if err != nil {
 		t.Fatal(err)
@@ -274,5 +283,21 @@ func TestCheckpointIncrementalWindowed(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("windowed restore %+v != live %+v", got, want)
+	}
+	for what, snap := range map[string]func(*Store) ([]byte, error){
+		"all-time": func(st *Store) ([]byte, error) { return st.Snapshot(name, nil) },
+		"window":   func(st *Store) ([]byte, error) { return st.WindowSnapshot(name, nil) },
+	} {
+		live, err := snap(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := snap(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(restored, live) {
+			t.Fatalf("restored %s snapshot differs from the live store", what)
+		}
 	}
 }
