@@ -272,7 +272,9 @@ func (f *F0) Kind() Kind { return KindF0 }
 // K returns the per-copy counter count.
 func (f *F0) K() int { return f.cfg.k() }
 
-// SpaceBits returns the total accounted state across copies.
+// SpaceBits returns the total accounted state across copies: what a
+// copy restored from the sketch's bytes reports, since each copy first
+// finishes a rescale in flight, as encoding does.
 func (f *F0) SpaceBits() int {
 	total := 0
 	for _, s := range f.fast {

@@ -265,6 +265,28 @@ func TestBitVectorLoad(t *testing.T) {
 	NewBitVector(64).Load(make([]uint64, 2))
 }
 
+// TestBitVectorFill: filling matches setting every bit one at a time,
+// and leaves the bits past Len in the tail word clear.
+func TestBitVectorFill(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 100, 128} {
+		want := NewBitVector(n)
+		for i := 0; i < n; i++ {
+			want.Set(i)
+		}
+		got := NewBitVector(n)
+		got.Set(n / 2)
+		got.Fill()
+		if got.Count() != n {
+			t.Errorf("n=%d: Count %d after Fill", n, got.Count())
+		}
+		for i, w := range got.Words() {
+			if w != want.Words()[i] {
+				t.Errorf("n=%d: word %d = %#x, per-bit Set gives %#x", n, i, w, want.Words()[i])
+			}
+		}
+	}
+}
+
 func TestBitVectorOutOfRangePanics(t *testing.T) {
 	b := NewBitVector(10)
 	for _, f := range []func(){

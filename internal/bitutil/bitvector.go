@@ -54,6 +54,17 @@ func (b *BitVector) Clear(i int) {
 // Count returns the number of set bits in O(1) time.
 func (b *BitVector) Count() int { return b.ones }
 
+// Fill sets all bits.
+func (b *BitVector) Fill() {
+	for i := range b.words {
+		b.words[i] = ^uint64(0)
+	}
+	if tail := uint(b.n) & 63; tail != 0 {
+		b.words[len(b.words)-1] = 1<<tail - 1
+	}
+	b.ones = b.n
+}
+
 // Reset clears all bits.
 func (b *BitVector) Reset() {
 	for i := range b.words {

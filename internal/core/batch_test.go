@@ -1,10 +1,11 @@
 package core
 
 // The batch path's oracle is per-key Add. AddBatch and AddBatchShared
-// hash a chunk once and skip h2/h3 for keys below the targets' floors;
-// every sketch must still end each batch exactly where Add of each key
-// leaves it — counters, phase bookkeeping and encoded bytes — whatever
-// the batch split and whatever state each target starts in.
+// hash a chunk once and keep, hash and apply only the keys at or above
+// the targets' floors; every sketch must still end each batch exactly
+// where Add of each key leaves it — counters, phase bookkeeping and
+// encoded bytes — whatever the batch split and whatever state each
+// target starts in.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/binenc"
+	"repro/internal/bitutil"
 	"repro/internal/hashfn"
 )
 
@@ -106,17 +108,39 @@ func feed(t *testing.T, rng *rand.Rand, what string, keys []uint64, ts ...*oracl
 		}
 		for _, o := range ts {
 			o.addKeys(batch)
-			sameState(t, fmt.Sprintf("%s, batch %d (%d keys), %s", what, bi, len(batch), o.name), o.batched, o.want)
+			where := fmt.Sprintf("%s, batch %d (%d keys), %s", what, bi, len(batch), o.name)
+			sameState(t, where, o.batched, o.want)
+			handoverFloor(t, where, o.batched)
 		}
 	}
 }
 
+// handoverFloor fails t unless s's main floor follows the handover
+// rule after a batch: 0 while the small-F0 array is in its exact phase
+// or below handoverBits(K), and b once a batch has observed it at or
+// past the handover, which retires it.
+func handoverFloor(t *testing.T, what string, s *FastSketch) {
+	t.Helper()
+	floor, _ := s.floors()
+	if !s.small.overflow || s.small.bv.Count() < handoverBits(s.cfg.K) {
+		if floor != 0 {
+			t.Fatalf("%s: floor %d before the handover", what, floor)
+		}
+		return
+	}
+	if !s.small.full() || floor != s.b {
+		t.Fatalf("%s: after the handover the array holds %d of %d bits and the floor is %d with b = %d",
+			what, s.small.bv.Count(), s.small.bv.Len(), floor, s.b)
+	}
+}
+
 // TestAddBatchSharedMatchesAdd runs each configuration through the
-// regimes the skip rule must respect: the exact phase, a bit array not
-// yet full, copy phases in flight (K = 8192 spans a phase over 11
-// updates, so rescales land mid-chunk), after Merge raised b and the
-// counters, after a restore, after Reset, and two targets in different
-// states — a mature total sharing its hash phase with a fresh bucket.
+// regimes the keep rule must respect: the exact phase, a bit array
+// before and after its handover, copy phases in flight (K = 8192 spans
+// a phase over 11 updates, so rescales land mid-chunk), after Merge
+// raised b and the counters, after a restore, after Reset, and two
+// targets in different states — a mature total sharing its hash phase
+// with a fresh bucket.
 // The shared targets are drawn separately from one seed, as the draw
 // cache may hand equal settings different but equal draws.
 func TestAddBatchSharedMatchesAdd(t *testing.T) {
@@ -138,12 +162,13 @@ func TestAddBatchSharedMatchesAdd(t *testing.T) {
 			total, bucket := pair("total"), pair("bucket")
 			n := 12 * cfg.K
 
-			// One target: the exact phase, the bit array filling, then
-			// past full, where the skip rule starts to apply.
+			// One target: the exact phase, the bit array filling up to
+			// and past its handover (feed checks the floor against the
+			// handover rule after every batch), then mature.
 			feed(t, rng, "exact phase", oracleStream(rng, 90), total)
-			feed(t, rng, "bit array filling", oracleStream(rng, cfg.K), total)
-			if skipping(total.batched) {
-				t.Fatal("floors rose before the bit array filled")
+			feed(t, rng, "bit array filling", oracleStream(rng, max(cfg.K, 4*ExactCap)), total)
+			if !total.batched.small.full() {
+				t.Fatal("the bit array did not retire; the test covers no handover")
 			}
 			feed(t, rng, "mature", oracleStream(rng, 4*n), total)
 			if !skipping(total.batched) {
@@ -180,6 +205,53 @@ func TestAddBatchSharedMatchesAdd(t *testing.T) {
 	}
 }
 
+// TestAddBatchPacesRoughOnlyChanges: a key below the main floor that
+// raises only a rough counter is an event of the apply loop, a change
+// point, and still takes its copy-phase step. Random streams rarely
+// land such keys inside a phase, so the test builds a batch of them:
+// a K = 8192 sketch past its handover, caught as a copy phase starts,
+// then keys below b that each raise a rough counter, with keys that
+// change nothing between them.
+func TestAddBatchPacesRoughOnlyChanges(t *testing.T) {
+	tmpl := DrawFastSketch(Config{K: 8192}, rand.New(rand.NewSource(11)))
+	batched, want := tmpl.Blank(), tmpl.Blank()
+	rng := rand.New(rand.NewSource(12))
+	for !batched.small.full() || batched.b == 0 || batched.copyPos < 0 {
+		k := rng.Uint64()
+		batched.Add(k)
+		want.Add(k)
+	}
+	roughBytes := func(s *FastSketch) []byte {
+		var w binenc.Writer
+		s.re.AppendState(&w)
+		return w.Buf
+	}
+	// probe follows the rough estimator through the keys chosen so far.
+	probe := tmpl.Blank()
+	probe.re.CopyFrom(batched.re)
+	var keys []uint64
+	raised := 0
+	for raised < 6 {
+		k := rng.Uint64()
+		if int(bitutil.LSB(tmpl.h1.HashField(k)&tmpl.keyMask, tmpl.cfg.LogN)) >= batched.b {
+			continue
+		}
+		before := roughBytes(probe)
+		probe.re.Update(k)
+		if !bytes.Equal(before, roughBytes(probe)) {
+			raised++
+		} else if rng.Intn(2) == 0 {
+			continue
+		}
+		keys = append(keys, k)
+	}
+	batched.AddBatch(keys)
+	for _, k := range keys {
+		want.Add(k)
+	}
+	sameState(t, fmt.Sprintf("%d keys, %d raising a rough counter", len(keys), raised), batched, want)
+}
+
 // skipping reports whether s's floors let the hash phase skip keys
 // for both the main sketch and every rough sub-estimator.
 func skipping(s *FastSketch) bool {
@@ -200,61 +272,84 @@ func TestAddBatchSharedRejectsMixedConfigs(t *testing.T) {
 	AddBatchShared([]*FastSketch{a, b}, []uint64{1, 2, 3})
 }
 
-// BenchmarkHashSkipShare replays each knwbench workload's key stream
-// for one store at the workload's settings and reports the share of
-// keys whose h2/h3 the hash phase skipped: bins-skip-% for the main
-// sketch, rough-skip-% for the rough estimator's three sub-estimators.
-// Keys are drawn as knwbench draws them (zipf s = 1.1 over 2^20 ids);
-// ids are hashed into the 32-bit universe with Mix64 rather than
-// knwd's string hasher, which the share does not depend on. Each
+// keptWorkloads are the knwbench workloads' settings for one store.
+var keptWorkloads = []struct {
+	name       string
+	k, targets int
+	preload    int
+}{
+	{"ingest-node", KForEpsilon(0.05), 1, 96 << 10}, // unwindowed
+	{"cluster-3node", KForEpsilon(0.2), 2, 20_000},  // total and live bucket
+}
+
+// keptShares replays workload w's key stream for one store at the
+// workload's settings and returns the shares of main-sketch bins and
+// of rough (key, sub-estimator) pairs that the hash phase kept on the
+// third pass. Keys are drawn as knwbench draws them (zipf s = 1.1 over
+// 2^20 ids); ids are hashed into the 32-bit universe with Mix64 rather
+// than knwd's string hasher, which the shares do not depend on. Each
 // workload sends one store its preload, then its quarter of the body
 // pool (2 Mi keys in all) over and over — a 40 s run at a few hundred
-// thousand keys/s goes through the pool several times — so the shares
-// are over the third pass.
+// thousand keys/s goes through the pool several times.
+func keptShares(k, targets, preload int) (bins, rough float64) {
+	rng := rand.New(rand.NewSource(1))
+	z := rand.NewZipf(rng, 1.1, 1, 1<<20-1)
+	draw := func(n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = hashfn.Mix64(z.Uint64(), 1) & (1<<32 - 1)
+		}
+		return keys
+	}
+	pre, pool := draw(preload), draw(2<<20/4)
+	tmpl := DrawFastSketch(Config{K: k}, rand.New(rand.NewSource(1)))
+	ss := make([]*FastSketch, targets)
+	for j := range ss {
+		ss[j] = tmpl.Blank()
+	}
+	replaySkips(ss, pre, 4096)
+	replaySkips(ss, pool, 4096)
+	replaySkips(ss, pool, 4096)
+	return replaySkips(ss, pool, 4096)
+}
+
+// TestKeptShares: at each workload's settings, the hash phase keeps
+// fewer than 1% of main bins and of rough pairs on the third pass, so
+// the drain works in proportion to the keys that can change a sketch.
+func TestKeptShares(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 1.6 Mi keys per workload")
+	}
+	for _, w := range keptWorkloads {
+		bins, rough := keptShares(w.k, w.targets, w.preload)
+		t.Logf("%s: %.3f%% of bins, %.3f%% of rough pairs kept", w.name, 100*bins, 100*rough)
+		if bins >= 0.01 || rough >= 0.01 {
+			t.Errorf("%s: kept %.3f%% of bins and %.3f%% of rough pairs; want under 1%% each", w.name, 100*bins, 100*rough)
+		}
+	}
+}
+
+// BenchmarkHashSkipShare reports keptShares per workload:
+// bins-kept-% for the main sketch, rough-kept-% for the rough
+// estimator's three sub-estimators.
 //
 //	go test -run=NONE -bench=HashSkipShare -benchtime=1x ./internal/core
 func BenchmarkHashSkipShare(b *testing.B) {
-	for _, w := range []struct {
-		name       string
-		k, targets int
-		preload    int
-	}{
-		{"ingest-node", KForEpsilon(0.05), 1, 96 << 10}, // unwindowed
-		{"cluster-3node", KForEpsilon(0.2), 2, 20_000},  // total and live bucket
-	} {
+	for _, w := range keptWorkloads {
 		b.Run(w.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			z := rand.NewZipf(rng, 1.1, 1, 1<<20-1)
-			draw := func(n int) []uint64 {
-				keys := make([]uint64, n)
-				for i := range keys {
-					keys[i] = hashfn.Mix64(z.Uint64(), 1) & (1<<32 - 1)
-				}
-				return keys
-			}
-			preload, pool := draw(w.preload), draw(2<<20/4)
-			var binsShare, roughShare float64
+			var bins, rough float64
 			for i := 0; i < b.N; i++ {
-				tmpl := DrawFastSketch(Config{K: w.k}, rand.New(rand.NewSource(1)))
-				ss := make([]*FastSketch, w.targets)
-				for j := range ss {
-					ss[j] = tmpl.Blank()
-				}
-				replaySkips(ss, preload, 4096)
-				replaySkips(ss, pool, 4096)
-				replaySkips(ss, pool, 4096)
-				bins, rough := replaySkips(ss, pool, 4096)
-				binsShare, roughShare = 100*(1-bins), 100*(1-rough)
+				bins, rough = keptShares(w.k, w.targets, w.preload)
 			}
-			b.ReportMetric(binsShare, "bins-skip-%")
-			b.ReportMetric(roughShare, "rough-skip-%")
+			b.ReportMetric(100*bins, "bins-kept-%")
+			b.ReportMetric(100*rough, "rough-kept-%")
 		})
 	}
 }
 
 // replaySkips feeds keys to ss in batches as AddBatchShared does and
 // returns the shares of main-sketch bins and of rough (key,
-// sub-estimator) pairs that the hash phase evaluated.
+// sub-estimator) pairs that the hash phase kept.
 func replaySkips(ss []*FastSketch, keys []uint64, batch int) (bins, rough float64) {
 	var h chunkHashes
 	var cidx [batchChunk]int32

@@ -150,8 +150,11 @@ const batchChunk = rough.ChunkSize
 
 // chunkHashes is the hash phase's output for one chunk of keys: what
 // the apply phase of every sketch sharing the hash functions reads.
+// It holds the kept keys only, those at or above the chunk's floor.
 type chunkHashes struct {
-	lvls, bins [batchChunk]int32 // lsb(h1(key)); h3(h2(key)), 0 where skipped
+	m          int               // kept keys
+	pos        [batchChunk]int32 // kept keys' positions in the chunk, ascending
+	lvls, bins [batchChunk]int32 // kept keys' lsb(h1(key)) and h3(h2(key))
 	rsc        rough.Scratch
 }
 
@@ -160,10 +163,8 @@ type chunkHashes struct {
 // each hash family (the sketch's own h1/h2/h3 and the rough
 // estimator's nine per-key evaluations) over the whole chunk in tight
 // loops, so per-key call overhead and hash-to-hash data dependencies
-// are amortized across the batch, and skips h2/h3 for keys that cannot
-// change the state (AddBatchShared). Only the O(1) counter writes,
-// phase advances, and rescale checks remain per key, preserving the
-// exact scalar state machine.
+// are amortized across the batch, and hashes and applies only the keys
+// that can change the state (AddBatchShared).
 func (s *FastSketch) AddBatch(keys []uint64) {
 	ss := [1]*FastSketch{s}
 	AddBatchShared(ss[:], keys)
@@ -174,19 +175,19 @@ func (s *FastSketch) AddBatch(keys []uint64) {
 // must be distinct and share their hash functions: equal Configs drawn
 // from one seed. Each chunk of keys goes through two phases:
 //
-//   - the hash phase runs once, over ss[0]'s functions: the levels
-//     lsb(h1(key)) of every key, and the bins h3(h2(key)) and the rough
-//     estimator's counter indices of only the keys that can still
-//     change some sketch (see floors);
-//   - the apply phase runs per sketch: the rough estimator's chunk,
-//     then per key the counter writes, phase advances and rescale
-//     checks.
+//   - the hash phase runs once, over ss[0]'s functions: the level
+//     lsb(h1(key)) of every key decides whether the key is kept (see
+//     floors), and only kept keys get their bins h3(h2(key)); the
+//     rough estimator keeps and hashes its own keys the same way;
+//   - the apply phase runs per sketch: the rough estimator's kept
+//     entries, then the kept keys and the rough change points in key
+//     order, with the keys between them paced by run length.
 //
 // The floors are read from every sketch at the start of the chunk and
 // combined by taking the minimum. Within a chunk counters, offsets and
 // the small-F0 structure only grow, so a key below a sketch's floor at
 // the chunk's start stays a no-op for it throughout the chunk, and the
-// minimum hashes every key any sketch needs.
+// minimum keeps every key any sketch needs.
 func AddBatchShared(ss []*FastSketch, keys []uint64) {
 	for _, t := range ss[1:] {
 		if t.cfg != ss[0].cfg {
@@ -213,12 +214,13 @@ func AddBatchShared(ss []*FastSketch, keys []uint64) {
 	}
 }
 
-// floors returns the levels below which s reads no key's bin and, per
-// rough sub-estimator, at or below which no key changes s's rough
-// estimator. A bin is read by the small-F0 structure until it is full,
-// by the primary counter write when lvl ≥ b, and by the secondary
-// write of a copy phase when lvl ≥ bPend > b; so the floor is b once
-// the small-F0 structure is full, and 0 (every key) before.
+// floors returns the level below which no key changes s's main sketch
+// and, per rough sub-estimator, the level at or below which no key
+// changes s's rough estimator. A bin is read by the small-F0 structure
+// until it is full, by the primary counter write when lvl ≥ b, and by
+// the secondary write of a copy phase when lvl ≥ bPend > b; so the
+// floor is b once the small-F0 structure is full (retired at the
+// handover), and 0 (every key) before.
 func (s *FastSketch) floors() (int, rough.Floors) {
 	floor := 0
 	if s.small.full() {
@@ -227,87 +229,88 @@ func (s *FastSketch) floors() (int, rough.Floors) {
 	return floor, s.re.Floors()
 }
 
-// hashChunk is the hash phase of AddBatchShared: it fills h for the
-// keys, evaluating h2/h3 only for keys at level floor or above, and
-// the rough estimator's only above its floors. It returns how many
-// keys' bins it hashed and how many (key, sub-estimator) pairs of the
+// hashChunk is the hash phase of AddBatchShared: it fills h with the
+// keys at level floor or above, evaluating h2/h3 for those only, and
+// has the rough estimator keep the keys above its floors. It returns
+// how many keys it kept and how many (key, sub-estimator) pairs of the
 // rough estimator's.
 func (s *FastSketch) hashChunk(keys []uint64, floor int, rf rough.Floors, h *chunkHashes) (nBins, nRough int) {
 	n := len(keys)
 	var red, z [batchChunk]uint64
 	hashfn.ReduceChunk(keys, red[:n])
 	s.h1.HashFieldChunkReduced(red[:n], z[:n])
-	for i, v := range z[:n] {
-		h.lvls[i] = int32(bitutil.LSB(v&s.keyMask, s.cfg.LogN))
-	}
-	nBins = n
-	if floor == 0 {
-		s.h2.HashChunkReduced(red[:n], z[:n])
-		s.h3.HashChunk32(z[:n], h.bins[:n])
-	} else {
-		// Gather the keys at or above the floor into z, hash them in
-		// place, scatter their bins back. A skipped key's bin is 0, a
-		// valid index no sketch writes through (its level is below b).
-		var pos, out [batchChunk]int32
-		m := 0
-		for i, l := range h.lvls[:n] {
-			pos[m], z[m] = int32(i), red[i]
-			if int(l) >= floor {
+	// A key's level lsb(z & keyMask) is at least floor exactly when the
+	// low floor bits of z are clear; no level exceeds LogN.
+	m := 0
+	if floor <= int(s.cfg.LogN) {
+		low := bitutil.Mask(uint(floor))
+		for i, v := range z[:n] {
+			h.pos[m] = int32(i)
+			if v&low == 0 {
 				m++
-			} else {
-				h.bins[i] = 0
 			}
 		}
-		s.h2.HashChunkReduced(z[:m], z[:m])
-		s.h3.HashChunk32(z[:m], out[:m])
-		for q, i := range pos[:m] {
-			h.bins[i] = out[q]
-		}
-		nBins = m
 	}
-	return nBins, s.re.PrecomputeAbove(red[:n], rf, &h.rsc)
+	// Level the kept keys and gather them into z (each write lands at
+	// or before the position read), then hash them in place.
+	for q, i := range h.pos[:m] {
+		h.lvls[q] = int32(bitutil.LSB(z[i]&s.keyMask, s.cfg.LogN))
+		z[q] = red[i]
+	}
+	s.h2.HashChunkReduced(z[:m], z[:m])
+	s.h3.HashChunk32(z[:m], h.bins[:m])
+	h.m = m
+	return m, s.re.PrecomputeAbove(red[:n], rf, &h.rsc)
 }
 
-// applyChunk is the apply phase of AddBatchShared for one sketch.
-// first marks the batch's first chunk: the batch's first rough
-// consultation always runs (the estimate may already exceed 2^est
-// after a merge or restore); after that, consultations replay only at
-// the recorded change points — between them the estimate is provably
-// unmoved, so the skipped checks could not have fired.
+// applyChunk is the apply phase of AddBatchShared for one sketch. It
+// visits only events: the kept keys, the rough estimator's change
+// points and, when first marks the batch's first chunk, the batch's
+// first key. The batch's first rough consultation always runs (the
+// estimate may already exceed 2^est after a merge or restore); after
+// that, consultations replay only at the change points — between them
+// the estimate is provably unmoved, so the skipped checks could not
+// have fired. A key that is not kept has lvl < floor ≤ b < bPend, so
+// its update writes no counter and is one copyChunk step of the copy
+// phase or lazy reset, which pace takes by run length.
 func (s *FastSketch) applyChunk(keys []uint64, h *chunkHashes, first bool, cidx *[batchChunk]int32, cest *[batchChunk]uint64) {
-	// The rough estimator evolves independently of the main counters,
-	// so its chunk can be applied up front; the per-key consultations
-	// below replay against the recorded change points, exactly as the
-	// scalar path would have seen them.
-	r, m := s.re.ApplyChunk(&h.rsc, len(keys), cidx, cest)
-	checked := !first
-	p := 0
-	if s.small.overflow {
-		// Past the exact regime, observing a key is just an OR into
-		// the bit array — fold the whole chunk in one pass, unless the
-		// array is full.
-		if !s.small.full() {
-			for _, b := range h.bins[:len(keys)] {
-				s.small.bv.Set(int(b))
-			}
+	// The small-F0 structure reads nothing the counters or the rough
+	// estimator write, so it observes the chunk up front. Until it is
+	// full the floor is 0 and every key is kept.
+	if !s.small.full() {
+		for q, i := range h.pos[:h.m] {
+			s.small.observe(keys[i], int(h.bins[q]))
 		}
-		for i := range keys {
-			s.applyCounter(int(h.lvls[i]), int(h.bins[i]))
-			if p < m && int(cidx[p]) == i {
-				r = cest[p]
-				p++
-			} else if checked {
-				continue
-			}
-			if r > 0 && r > uint64(1)<<uint(s.est) {
-				s.onRoughChange(r)
-			}
-			checked = true
-		}
-		return
 	}
-	for i, key := range keys {
-		s.applyHashed(key, int(h.lvls[i]), int(h.bins[i]))
+	// So does the rough estimator; the consultations below replay
+	// against its recorded change points, exactly as the scalar path
+	// would have seen them.
+	r, m := s.re.ApplyChunk(&h.rsc, cidx, cest)
+	n := len(keys)
+	checked := !first
+	next, q, p := 0, 0, 0 // next key to apply, kept key, change point
+	for {
+		i := n
+		if !checked {
+			i = next
+		}
+		if q < h.m {
+			i = min(i, int(h.pos[q]))
+		}
+		if p < m {
+			i = min(i, int(cidx[p]))
+		}
+		if i == n {
+			break
+		}
+		s.pace(i - next)
+		if q < h.m && int(h.pos[q]) == i {
+			s.applyCounter(int(h.lvls[q]), int(h.bins[q]))
+			q++
+		} else {
+			s.pace(1)
+		}
+		next = i + 1
 		if p < m && int(cidx[p]) == i {
 			r = cest[p]
 			p++
@@ -319,12 +322,29 @@ func (s *FastSketch) applyChunk(keys []uint64, h *chunkHashes, first bool, cidx 
 		}
 		checked = true
 	}
+	s.pace(n - next)
+}
+
+// pace takes n updates' deamortization steps: copyChunk slots of the
+// copy phase each, then of the lazy reset, which starts at the step
+// after the one that completes the phase. With no counter write
+// between them, n steps at once leave what n one-step calls leave.
+func (s *FastSketch) pace(n int) {
+	if n > 0 && s.copyPos >= 0 {
+		steps := min(n, (s.cfg.K-s.copyPos+copyChunk-1)/copyChunk)
+		s.advanceCopy(steps * copyChunk)
+		n -= steps
+	}
+	if n > 0 && s.resetPos < s.cfg.K {
+		s.advanceReset(n * copyChunk)
+	}
 }
 
 // addHashed is the post-hashing tail of Add: lvl is the subsampling
 // level lsb(h1(key)) and bit is h3(h2(key)) ∈ [0, 2K).
 func (s *FastSketch) addHashed(key uint64, lvl, bit int) {
-	s.applyHashed(key, lvl, bit)
+	s.small.observe(key, bit)
+	s.applyCounter(lvl, bit)
 	s.re.Update(key)
 	s.checkRough()
 }
@@ -336,16 +356,9 @@ func (s *FastSketch) checkRough() {
 	}
 }
 
-// applyHashed applies the main-sketch half of one update — small-F0
-// observation, counter write, and deamortized phase bookkeeping —
-// shared by the scalar and batched paths.
-func (s *FastSketch) applyHashed(key uint64, lvl, bit int) {
-	s.small.observe(key, bit)
-	s.applyCounter(lvl, bit)
-}
-
-// applyCounter is applyHashed minus the small-F0 observation (the
-// batched path folds post-overflow observations in bulk).
+// applyCounter applies the counter half of one update — the counter
+// writes and the deamortized phase bookkeeping — shared by the scalar
+// and batched paths.
 func (s *FastSketch) applyCounter(lvl, bit int) {
 	if x := lvl - s.b; x >= 0 {
 		// A negative offset can never beat a counter (all are ≥ −1),
@@ -365,10 +378,8 @@ func (s *FastSketch) applyCounter(lvl, bit int) {
 		if j := bit & (s.cfg.K - 1); j < s.copyPos {
 			s.writeMax(s.arr[1-s.cur], &s.aSec, &s.tSec, j, lvl-s.bPend)
 		}
-		s.advanceCopy(copyChunk)
-	} else if s.resetPos < s.cfg.K {
-		s.advanceReset(copyChunk)
 	}
+	s.pace(1)
 }
 
 // writeMax performs C_j ← max(C_j, x) on the given array (stored as
@@ -483,6 +494,17 @@ func (s *FastSketch) advanceCopy(n int) {
 		if s.aPri > 3*s.cfg.K {
 			s.failed = true
 		}
+	}
+}
+
+// settle finishes a copy phase or lazy reset in flight (an O(K) step),
+// leaving the state RestoreState rebuilds from AppendState's bytes.
+func (s *FastSketch) settle() {
+	if s.copyPos >= 0 {
+		s.advanceCopy(s.cfg.K)
+	}
+	if s.resetPos < s.cfg.K {
+		s.advanceReset(s.cfg.K)
 	}
 }
 
@@ -647,8 +669,7 @@ func (s *FastSketch) CopyFrom(o *FastSketch) {
 	}
 	s.arr[1].CopyFrom(o.arr[1-o.cur])
 	s.copyPos, s.bPend, s.aSec, s.tSec = o.copyPos, o.bPend, o.aSec, o.tSec
-	s.advanceCopy(s.cfg.K)
-	s.advanceReset(s.cfg.K)
+	s.settle()
 }
 
 // Reset returns the sketch to its freshly constructed state without
@@ -687,8 +708,10 @@ func (s *FastSketch) SeedBits() int {
 // scheme; until the first phase allocates it, it is charged as the
 // all-zero array it starts as), hash seeds, the rough estimator, the
 // small-F0 structure, the logarithm table, and O(1) words of
-// bookkeeping.
+// bookkeeping. Like AppendState it first finishes a copy phase or lazy
+// reset in flight, so a sketch reports what its restored copy would.
 func (s *FastSketch) SpaceBits() int {
+	s.settle()
 	total := s.arr[0].SpaceBits()
 	if s.arr[1] != nil {
 		total += s.arr[1].SpaceBits()

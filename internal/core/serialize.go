@@ -76,12 +76,7 @@ func (s *Sketch) RestoreState(r *binenc.Reader) error {
 // primary array needs encoding (an O(K) step — serialization is not a
 // hot path).
 func (s *FastSketch) AppendState(w *binenc.Writer) {
-	if s.copyPos >= 0 {
-		s.advanceCopy(s.cfg.K)
-	}
-	if s.resetPos < s.cfg.K {
-		s.advanceReset(s.cfg.K)
-	}
+	s.settle()
 	// The Uints encoding of the primary's counters, written a block at
 	// a time without an intermediate slice of K counters.
 	w.Uvarint(uint64(s.cfg.K))

@@ -125,7 +125,7 @@ func (s *Sketch) AddBatch(keys []uint64) {
 			bits[i] = int32(s.h3.Hash(v))
 		}
 		s.re.PrecomputeReduced(red[:n], &rsc)
-		r, m := s.re.ApplyChunk(&rsc, n, &cidx, &cest)
+		r, m := s.re.ApplyChunk(&rsc, &cidx, &cest)
 		p := 0
 		for i, key := range chunk {
 			s.applyHashed(key, int(lvls[i]), int(bits[i]))

@@ -200,10 +200,12 @@ func (e *Estimator) Update(i uint64) {
 // granularity of the batched ingestion path throughout the module.
 const ChunkSize = 512
 
-// Scratch holds one chunk's precomputed hash values for ApplyChunk.
-// Allocate it once per batch loop and reuse it; it is a few KB and
-// lives happily on the stack.
+// Scratch holds one chunk's precomputed hash values for ApplyChunk:
+// per sub-estimator, the kept keys' positions in the chunk, levels and
+// counter indices. Allocate it once per batch loop and reuse it; it is
+// a few KB and lives happily on the stack.
 type Scratch struct {
+	pos [3][ChunkSize + 1]int32 // kept keys' positions, ascending, then ChunkSize
 	lvl [3][ChunkSize]int8
 	idx [3][ChunkSize]int32
 }
@@ -212,9 +214,9 @@ type Scratch struct {
 // each key — per sub-estimator, the subsampling level lsb(h1(key)) and
 // the counter index h3(h2(key)) — evaluating each hash family over the
 // whole chunk in a tight loop (devirtualized for the tabulation h3).
-// Batched callers precompute a chunk, then replay it key by key with
-// UpdatePrecomputed so the estimate sequence (and hence all downstream
-// rescale decisions) is identical to scalar Update calls.
+// Batched callers precompute a chunk, then apply it with ApplyChunk so
+// the estimate sequence (and hence all downstream rescale decisions)
+// is identical to scalar Update calls.
 func (e *Estimator) Precompute(keys []uint64, sc *Scratch) {
 	var red [ChunkSize]uint64
 	if len(keys) > ChunkSize {
@@ -255,54 +257,49 @@ func (f *Floors) Lower(o Floors) {
 	}
 }
 
-// PrecomputeAbove is PrecomputeReduced that evaluates h2 and h3 only
-// for keys that can change some estimator with the given floors: a key
-// whose level in sub-estimator j is at or below floors[j] is recorded
-// at level −1 and counter 0, which ApplyChunk never applies (every
-// counter is ≥ −1). Applying the result to an estimator whose floors
-// are at or above the given ones is state-identical to Update of each
-// key, so floors read before a chunk serve every update in it. It
-// returns the number of (key, sub-estimator) pairs it hashed.
-func (e *Estimator) PrecomputeAbove(red []uint64, floors Floors, sc *Scratch) (hashed int) {
+// PrecomputeAbove is PrecomputeReduced that keeps, per sub-estimator,
+// only the keys that can change some estimator with the given floors —
+// those whose level in sub-estimator j is above floors[j] — and
+// evaluates levels, h2 and h3 for those only. Applying the result to
+// an estimator whose floors are at or above the given ones is
+// state-identical to Update of each key, so floors read before a chunk
+// serve every update in it. It returns the number of (key,
+// sub-estimator) pairs it kept.
+func (e *Estimator) PrecomputeAbove(red []uint64, floors Floors, sc *Scratch) (kept int) {
 	n := len(red)
 	if n > ChunkSize {
 		panic("rough: chunk exceeds ChunkSize")
 	}
 	mask := bitutil.Mask(e.logN)
 	var z [ChunkSize]uint64
-	var pos, idx [ChunkSize]int32
 	for j := range e.subs {
 		s := &e.subs[j]
-		lvls, out := &sc.lvl[j], &sc.idx[j]
+		pos := &sc.pos[j]
 		s.h1.HashFieldChunkReduced(red[:n], z[:n])
-		for i, v := range z[:n] {
-			lvls[i] = int8(bitutil.LSB(v&mask, e.logN))
-		}
-		if floors[j] < 0 {
-			s.h2.HashChunkReduced(red[:n], z[:n])
-			s.hash3Chunk(z[:n], out[:n])
-			hashed += n
-			continue
-		}
-		// Gather the keys above the floor into z, hash them in place,
-		// scatter their counter indices back.
+		// A key's level lsb(z & mask) is above floor f exactly when the
+		// low f+1 bits of z are clear; no level exceeds LogN.
 		m := 0
-		for i, l := range lvls[:n] {
-			pos[m], z[m] = int32(i), red[i]
-			if l > floors[j] {
-				m++
-			} else {
-				lvls[i], out[i] = -1, 0
+		if f := int(floors[j]); f < int(e.logN) {
+			low := bitutil.Mask(uint(f + 1))
+			for i, v := range z[:n] {
+				pos[m] = int32(i)
+				if v&low == 0 {
+					m++
+				}
 			}
 		}
-		s.h2.HashChunkReduced(z[:m], z[:m])
-		s.hash3Chunk(z[:m], idx[:m])
+		pos[m] = ChunkSize
+		// Level the kept keys and gather them into z (each write lands
+		// at or before the position read), then hash them in place.
 		for q, i := range pos[:m] {
-			out[i] = idx[q]
+			sc.lvl[j][q] = int8(bitutil.LSB(z[i]&mask, e.logN))
+			z[q] = red[i]
 		}
-		hashed += m
+		s.h2.HashChunkReduced(z[:m], z[:m])
+		s.hash3Chunk(z[:m], sc.idx[j][:m])
+		kept += m
 	}
-	return hashed
+	return kept
 }
 
 // hash3Chunk writes h3(xs[i]) into out[i], devirtualized for the
@@ -317,42 +314,48 @@ func (s *sub) hash3Chunk(xs []uint64, out []int32) {
 	}
 }
 
-// ApplyChunk applies the first n precomputed updates of sc in order —
-// state-identical to Update of each key — and records the change
-// points sparsely: on return, idxs[:m] holds (ascending) the positions
-// whose update changed some counter and ests[:m] the estimate right
-// after each such update; between change points the estimate is
-// provably unmoved (it is pure in the counters and monotone). r0 is
-// the estimate from before the chunk. Batched callers replay their
-// per-key estimate consultations against this record instead of
-// calling Estimate per key — the dominant steady-state rough cost.
-func (e *Estimator) ApplyChunk(sc *Scratch, n int, idxs *[ChunkSize]int32, ests *[ChunkSize]uint64) (r0 uint64, m int) {
+// ApplyChunk applies the kept entries of sc, filled by PrecomputeAbove,
+// merging the three sub-estimators' lists in key order — state-identical
+// to Update of each key of the chunk — and records the change points
+// sparsely: on return, idxs[:m] holds (ascending) the positions whose
+// update changed some counter and ests[:m] the estimate right after
+// each such update; between change points the estimate is provably
+// unmoved (it is pure in the counters and monotone). r0 is the
+// estimate from before the chunk. Batched callers replay their per-key
+// estimate consultations against this record instead of calling
+// Estimate per key — the dominant steady-state rough cost. The work is
+// proportional to the kept entries, not to the chunk.
+func (e *Estimator) ApplyChunk(sc *Scratch, idxs *[ChunkSize]int32, ests *[ChunkSize]uint64) (r0 uint64, m int) {
 	r0 = e.Estimate()
-	for i := 0; i < n; i++ {
+	var q [3]int // next kept entry per sub-estimator
+	for {
+		i := min(sc.pos[0][q[0]], sc.pos[1][q[1]], sc.pos[2][q[2]])
+		if i == ChunkSize {
+			return r0, m
+		}
 		changed := false
 		for j := range e.subs {
+			if sc.pos[j][q[j]] != i {
+				continue
+			}
 			s := &e.subs[j]
-			lvl := sc.lvl[j][i]
-			if idx := sc.idx[j][i]; lvl > s.c[idx] {
-				old := s.c[idx]
+			lvl, idx := sc.lvl[j][q[j]], sc.idx[j][q[j]]
+			q[j]++
+			if old := s.c[idx]; lvl > old {
 				s.c[idx] = lvl
 				changed = true
-				lo := int(old) + 1
-				if lo < 0 {
-					lo = 0
-				}
-				for r := lo; r <= int(lvl); r++ {
+				// Levels (old, lvl] gain a counter.
+				for r := max(int(old)+1, 0); r <= int(lvl); r++ {
 					s.t[r]++
 				}
 			}
 		}
 		if changed {
-			idxs[m] = int32(i)
+			idxs[m] = i
 			ests[m] = e.Estimate()
 			m++
 		}
 	}
-	return r0, m
 }
 
 // Estimate returns the current rough estimate of F0 (Figure 2, step 5):
